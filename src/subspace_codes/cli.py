@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification or reproduction check
-fails, 2 for invalid parameters or unreadable input.
+fails, 2 for invalid parameters, unreadable input and every other error,
+including an internal consistency failure or running out of memory.
 
 The bound selector tokens are short tags rather than function names:
 ``thm2`` is the two-block lower bound, ``thm3`` the general parallel lower
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from .bounds import (
     johnson_anticode_upper,
@@ -29,6 +32,7 @@ from .errors import (
     CodeFileError,
     IncompatibleFieldError,
     IncompatibleSpacesError,
+    InternalConsistencyError,
     InvalidElementError,
     InvalidParameterError,
     RankDeficiencyError,
@@ -127,17 +131,7 @@ def cmd_table(args) -> int:
 def cmd_construct(args) -> int:
     code = assemble_parallel(args.q, args.n, args.k, args.d, args.s)
     write_code(code, args.out)
-    sizes = []
-    pos = 0
-    rounds = code.rounds
-    while pos < len(code):
-        b = int(rounds[pos])
-        c = 0
-        while pos < len(code) and int(rounds[pos]) == b:
-            c += 1
-            pos += 1
-        sizes.append(c)
-    breakdown = "+".join(str(c) for c in sizes)
+    breakdown = "+".join(map(str, np.bincount(code.rounds).tolist()))
     print(f"wrote {len(code)} members ({breakdown}) of a (q={code.q}, "
           f"N={code.ambient}, d={code.d}, k={code.k}) code to {args.out}")
     return 0
@@ -228,11 +222,11 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (InvalidParameterError, InvalidElementError, CodeFileError,
             IncompatibleFieldError, IncompatibleSpacesError,
-            RankDeficiencyError) as exc:
+            RankDeficiencyError, InternalConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

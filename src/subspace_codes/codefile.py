@@ -32,6 +32,7 @@ verification rather than being repaired here.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,36 +57,34 @@ class CodeFileHeader:
     construction: CdcParams | None
 
 
-def _format_rows(value: int, q: int, ambient: int, k: int) -> str:
-    base = q ** ambient
-    groups = []
-    for _ in range(k):
-        value, row = divmod(value, base)
-        digits = []
-        for _ in range(ambient):
-            row, dig = divmod(row, q)
-            digits.append(chr(ord("0") + dig))
-        groups.append("".join(digits))
-    return "|".join(groups)
+WRITE_CHUNK = 1 << 11  # members formatted per numpy pass
 
 
 def write_code(code: CDC, path) -> None:
     """Serialize a code; the inverse of read_code up to round labels."""
-    with open(path, "w") as fh:
-        fh.write(f"{MAGIC} v{VERSION}\n")
-        fh.write(f"q={code.q}\n")
-        fh.write(f"ambient={code.ambient}\n")
-        fh.write(f"k={code.k}\n")
-        fh.write(f"d={code.d}\n")
-        fh.write(f"members={len(code)}\n")
-        p = code.params
-        if p is not None and p.n is not None:
-            fh.write(f"construction=parallel n={p.n} s={p.s}\n")
-        fh.write("--\n")
-        for i in range(len(code)):
-            fh.write(_format_rows(int(code.codes[i]), code.q,
-                                  code.ambient, code.k))
-            fh.write("\n")
+    q, ambient, k = code.q, code.ambient, code.k
+    header = [f"{MAGIC} v{VERSION}", f"q={q}", f"ambient={ambient}",
+              f"k={k}", f"d={code.d}", f"members={len(code)}"]
+    p = code.params
+    if p is not None and p.n is not None:
+        header.append(f"construction=parallel n={p.n} s={p.s}")
+    header.append("--")
+    # digit c of a row is (row // q**c) % q; q**(ambient - 1) < 2**64
+    powers = np.uint64(q) ** np.arange(ambient, dtype=np.uint64)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        for lo in range(0, len(code), WRITE_CHUNK):
+            chunk = code.codes[lo:lo + WRITE_CHUNK]
+            # each row becomes its digits plus one byte: "|" between rows,
+            # a newline after the last
+            digits = chunk[:, :, None] // powers
+            digits %= np.uint64(q)
+            digits += np.uint64(ord("0"))
+            out = np.empty((len(chunk), k, ambient + 1), dtype=np.uint8)
+            out[:, :, :ambient] = digits
+            out[:, :, ambient] = ord("|")
+            out[:, -1, ambient] = ord("\n")
+            fh.write(out.tobytes())
 
 
 def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
@@ -111,109 +110,109 @@ def read_code(path):
     """Parse a code file; returns (CodeFileHeader, CDC).
 
     Structural problems (bad magic, missing keys, wrong row shapes, digits
-    outside the field, declared member count not matching the body) raise
-    CodeFileError.  Mathematical problems (duplicates, wrong distance) are
-    the verifier's business and pass through silently here.
+    outside the field, rows wider than the uint64 row limit, declared member
+    count not matching the body) raise CodeFileError.  Mathematical problems
+    (duplicates, wrong distance) are the verifier's business and pass
+    through silently here.  The body is streamed line by line into a flat
+    buffer of packed rows.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CodeFileError("empty file")
-    first = lines[0].split()
-    if len(first) != 2 or first[0] != MAGIC or not first[1].startswith("v"):
-        raise CodeFileError(f"bad magic line {lines[0]!r}")
-    try:
-        version = int(first[1][1:])
-    except ValueError:
-        raise CodeFileError(f"bad version in {lines[0]!r}") from None
-    if version != VERSION:
-        raise CodeFileError(f"unsupported format version {version}")
+    # the format is ASCII; any other byte decodes to U+FFFD and then fails
+    # the same checks as any other stray character
+    with open(path, encoding="ascii", errors="replace") as fh:
+        magic = fh.readline()
+        if not magic:
+            raise CodeFileError("empty file")
+        magic = magic.rstrip("\n")
+        first = magic.split()
+        if len(first) != 2 or first[0] != MAGIC or not first[1].startswith("v"):
+            raise CodeFileError(f"bad magic line {magic!r}")
+        try:
+            version = int(first[1][1:])
+        except ValueError:
+            raise CodeFileError(f"bad version in {magic!r}") from None
+        if version != VERSION:
+            raise CodeFileError(f"unsupported format version {version}")
 
-    header: dict = {}
-    body_at = None
-    for idx, line in enumerate(lines[1:], start=1):
-        if line == "--":
-            body_at = idx + 1
-            break
-        if not line or line.startswith("#"):
-            continue
-        key, eq, val = line.partition("=")
-        if not eq:
-            raise CodeFileError(f"expected key=value, got {line!r}")
-        if key in header:
-            raise CodeFileError(f"duplicate header key {key!r}")
-        header[key] = val
-    if body_at is None:
-        raise CodeFileError("missing -- separator")
+        header: dict = {}
+        for line in fh:
+            line = line.rstrip("\n")
+            if line == "--":
+                break
+            if not line or line.startswith("#"):
+                continue
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise CodeFileError(f"expected key=value, got {line!r}")
+            if key in header:
+                raise CodeFileError(f"duplicate header key {key!r}")
+            header[key] = val
+        else:
+            raise CodeFileError("missing -- separator")
 
-    try:
-        q = int(header["q"])
-        ambient = int(header["ambient"])
-        k = int(header["k"])
-        d = int(header["d"])
-        members = int(header["members"])
-    except KeyError as exc:
-        raise CodeFileError(f"missing header key {exc.args[0]!r}") from None
-    except ValueError:
-        raise CodeFileError("non-integer header value") from None
-    if q < 2 or ambient < 1 or not 1 <= k <= ambient or members < 0:
-        raise CodeFileError(
-            f"implausible header: q={q} ambient={ambient} k={k} members={members}")
-    if q > 9:
-        raise CodeFileError(f"single-digit storage cannot hold q={q}")
-    try:
-        fieldobj = field_of(q)
-    except InvalidParameterError as exc:
-        raise CodeFileError(str(exc)) from None
-
-    construction = None
-    if "construction" in header:
-        construction = _parse_construction(header["construction"], q, ambient, d, k)
-
-    base = q ** ambient
-    values = []
-    for line in lines[body_at:]:
-        if not line:
-            continue
-        groups = line.split("|")
-        if len(groups) != k:
+        try:
+            q = int(header["q"])
+            ambient = int(header["ambient"])
+            k = int(header["k"])
+            d = int(header["d"])
+            members = int(header["members"])
+        except KeyError as exc:
+            raise CodeFileError(f"missing header key {exc.args[0]!r}") from None
+        except ValueError:
+            raise CodeFileError("non-integer header value") from None
+        if q < 2 or ambient < 1 or not 1 <= k <= ambient or members < 0:
             raise CodeFileError(
-                f"member line has {len(groups)} rows, expected {k}: {line!r}")
-        rows = []
-        for g in groups:
-            if len(g) != ambient:
+                f"implausible header: q={q} ambient={ambient} k={k} members={members}")
+        if q > 9:
+            raise CodeFileError(f"single-digit storage cannot hold q={q}")
+        try:
+            fieldobj = field_of(q)
+            # an empty code checks the row width before the body is read
+            CDC(q, ambient, k, d, ())
+        except InvalidParameterError as exc:
+            raise CodeFileError(str(exc)) from None
+
+        construction = None
+        if "construction" in header:
+            construction = _parse_construction(header["construction"], q,
+                                               ambient, d, k)
+
+        digits = "0123456789"[:q]
+        rows_buf = array("Q")
+        count = 0
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            groups = line.split("|")
+            if len(groups) != k:
                 raise CodeFileError(
-                    f"row of width {len(g)}, expected {ambient}: {g!r}")
-            row = 0
-            for ch in reversed(g):
-                dig = ord(ch) - ord("0")
-                if not 0 <= dig < q:
-                    raise CodeFileError(f"digit {ch!r} outside GF({q})")
-                row = row * q + dig
-            rows.append(row)
-        # the format stores canonical generator rows; anything else is a
-        # malformed file, not a code with surprising members
-        if packed_rref(rows, fieldobj, ambient) != tuple(rows):
-            raise CodeFileError(
-                f"member {len(values) + 1} rows are not in canonical form")
-        value = 0
-        for r in reversed(rows):
-            value = value * base + r
-        values.append(value)
-    if len(values) != members:
+                    f"member line has {len(groups)} rows, expected {k}: {line!r}")
+            rows = []
+            for g in groups:
+                if len(g) != ambient:
+                    raise CodeFileError(
+                        f"row of width {len(g)}, expected {ambient}: {g!r}")
+                if g.strip(digits):
+                    bad = next(ch for ch in g if ch not in digits)
+                    raise CodeFileError(f"digit {bad!r} outside GF({q})")
+                # column 0 is the leftmost digit and the least significant
+                rows.append(int(g[::-1], q))
+            # the format stores canonical generator rows; anything else is a
+            # malformed file, not a code with surprising members
+            if packed_rref(rows, fieldobj, ambient) != tuple(rows):
+                raise CodeFileError(
+                    f"member {count + 1} rows are not in canonical form")
+            rows_buf.extend(rows)
+            count += 1
+    if count != members:
         raise CodeFileError(
-            f"header declares {members} members, body has {len(values)}")
-
-    use_np = q == 2 and k * ambient <= 63
-    codes = np.asarray(values, dtype=np.uint64) if use_np else values
+            f"header declares {members} members, body has {count}")
 
     rounds = None
     if construction is not None:
         sizes = block_cardinalities(q, construction.n, k, d, construction.s)
-        if sum(sizes) == len(values):
-            if use_np:
-                rounds = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
-            else:
-                rounds = [b for b, c in enumerate(sizes) for _ in range(c)]
+        if sum(sizes) == count:
+            rounds = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
+    codes = np.frombuffer(rows_buf, dtype=np.uint64)
     hdr = CodeFileHeader(version, q, ambient, k, d, members, construction)
-    return hdr, CDC(q, ambient, k, d, codes, rounds, construction)
+    return hdr, CDC(q, ambient, k, d, codes.reshape(-1, k), rounds, construction)

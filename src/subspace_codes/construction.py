@@ -11,10 +11,10 @@ k x n codeword.  Pivot columns separate members of different rounds, and
 the rank limit k - d/2 keeps cross-round subspace distances at d; within a
 round the lifted rank distance does the same.
 
-Members are stored packed: a subspace is k canonical generator rows, each
-row the integer sum(entry_c * q**c), and a member is sum(row_r * q**(N*r)).
-For q = 2 with k * N <= 63 members fit machine words and the whole code
-lives in one numpy array.
+A code is stored as one (M, k) numpy uint64 array: member i is the k
+canonical generator rows codes[i, 0], ..., codes[i, k - 1], each row packed
+as the integer sum(entry_c * q**c).  That holds for every q while
+q**N <= 2**64.
 """
 
 from __future__ import annotations
@@ -96,49 +96,59 @@ def lift(word: MatrixGF, side: str = "left") -> Subspace:
     raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
 
 
+ROW_LIMIT = 2 ** 64
+
+
 @dataclass
 class CDC:
-    """A constant-dimension code held as packed members.
+    """A constant-dimension code held as an (M, k) array of packed rows.
 
-    ``codes`` is a numpy uint64 array when members fit a machine word and a
-    list of Python ints otherwise, in construction order.  ``rounds`` gives
-    each member's round index when the code came out of assemble_parallel.
+    ``codes`` is a C-contiguous np.uint64 array in construction order; row r
+    of member i is ``codes[i, r]``, a canonical generator row packed as
+    sum(entry_c * q**c).  ``rounds`` is None or each member's round index as
+    a 1-D np.uint16 array, when the code came out of assemble_parallel.
+    Any sequence of row tuples is accepted and normalized here.
     """
 
     q: int
     ambient: int
     k: int
     d: int
-    codes: object
-    rounds: object = None
+    codes: np.ndarray
+    rounds: np.ndarray | None = None
     params: CdcParams | None = None
+
+    def __post_init__(self):
+        if self.q ** self.ambient > ROW_LIMIT:
+            raise InvalidParameterError(
+                f"rows of GF({self.q})^{self.ambient} do not fit the uint64 "
+                f"row limit: q**ambient must be at most 2**64")
+        codes = np.asarray(self.codes, dtype=np.uint64)
+        if codes.size == 0:
+            codes = codes.reshape(0, self.k)
+        if codes.ndim != 2 or codes.shape[1] != self.k:
+            raise InvalidParameterError(
+                f"members must be {self.k} packed rows each, "
+                f"got an array of shape {codes.shape}")
+        self.codes = np.ascontiguousarray(codes)
+        if self.rounds is not None:
+            self.rounds = np.asarray(self.rounds, dtype=np.uint16)
 
     def __len__(self):
         return len(self.codes)
 
     def member_rows(self, i: int) -> tuple:
-        value = int(self.codes[i])
-        base = self.q ** self.ambient
-        out = []
-        for _ in range(self.k):
-            value, r = divmod(value, base)
-            out.append(r)
-        return tuple(out)
+        return tuple(self.codes[i].tolist())
 
     def subspace(self, i: int) -> Subspace:
         return Subspace(self.q, self.ambient, self.member_rows(i))
 
     def distinct_count(self) -> int:
-        if isinstance(self.codes, np.ndarray):
-            return int(np.unique(self.codes).size)
-        return len(set(self.codes))
-
-
-def pack_member(rows, q: int, ambient: int) -> int:
-    value = 0
-    for r in reversed(rows):
-        value = value * (q ** ambient) + r
-    return value
+        if len(self.codes) < 2:
+            return len(self.codes)
+        ordered = self.codes[np.lexsort(self.codes.T)]
+        return 1 + int(np.count_nonzero(
+            (ordered[1:] != ordered[:-1]).any(axis=1)))
 
 
 def _shifted_rows(words, q: int, offset: int):
@@ -174,40 +184,31 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
             f"construction has {total} members, over the budget of {allowed}; "
             f"pass a larger budget or set {BUDGET_ENV_VAR}")
 
+    # allocating through CDC checks the row width before any enumeration
+    code = CDC(q, ambient, k, d, np.empty((total, k), dtype=np.uint64),
+               params=params)
+    codes = code.codes
     full_kk = gabidulin_enumerate(q, k, k, delta, budget=allowed) if s else None
     sq_kk = checked_sq_filter(full_kk, k - delta) if s else None
     full_nk = gabidulin_enumerate(q, n, k, delta, budget=allowed)
     sq_nk = checked_sq_filter(full_nk, k - delta)
 
-    use_np = q == 2 and k * ambient <= 63
-    codes = np.empty(total, dtype=np.uint64) if use_np else []
-    rounds = np.empty(total, dtype=np.uint16) if use_np else []
     written = 0
     counts = []
 
     def emit_plain_round(slot_sources, pivot_offset):
-        # identity at pivot_offset, no reduction needed: rows stay disjoint
-        # in their digit ranges, so members are sums of packed parts
+        # identity at pivot_offset, no reduction needed: slots occupy
+        # disjoint digit ranges, so member rows are sums of packed parts
         nonlocal written
-        id_part = sum(q ** (pivot_offset + i) * (q ** ambient) ** i
-                      for i in range(k))
-        parts = [[pack_member(rows, q, ambient)
-                  for rows in _shifted_rows(words, q, offset)]
-                 for words, offset in slot_sources]
-        if use_np:
-            acc = np.asarray([id_part], dtype=np.uint64)
-            for p in parts:
-                arr = np.asarray(p, dtype=np.uint64)
-                acc = (acc[:, None] + arr[None, :]).ravel()
-            codes[written:written + acc.size] = acc
-            emitted = int(acc.size)
-        else:
-            emitted = 0
-            for combo in product(*parts):
-                codes.append(id_part + sum(combo))
-                emitted += 1
-        written += emitted
-        return emitted
+        acc = np.asarray([[q ** (pivot_offset + i) for i in range(k)]],
+                         dtype=np.uint64)
+        for words, offset in slot_sources:
+            part = np.asarray(_shifted_rows(words, q, offset),
+                              dtype=np.uint64).reshape(-1, k)
+            acc = (acc[:, None, :] + part[None, :, :]).reshape(-1, k)
+        codes[written:written + len(acc)] = acc
+        written += len(acc)
+        return len(acc)
 
     def emit_reduced_round(slot_sources, pivot_offset):
         nonlocal written
@@ -223,11 +224,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
             reduced = packed_rref(rows, field, ambient)
             if len(reduced) != k:
                 raise InternalConsistencyError("round member lost rank")
-            value = pack_member(reduced, q, ambient)
-            if use_np:
-                codes[written + emitted] = value
-            else:
-                codes.append(value)
+            codes[written + emitted] = reduced
             emitted += 1
         written += emitted
         return emitted
@@ -251,12 +248,5 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
         raise InternalConsistencyError(
             f"round sizes {counts} disagree with predicted {per_round}")
 
-    if use_np:
-        pos = 0
-        for b, c in enumerate(counts):
-            rounds[pos:pos + c] = b
-            pos += c
-    else:
-        for b, c in enumerate(counts):
-            rounds.extend([b] * c)
-    return CDC(q, ambient, k, d, codes, rounds, params)
+    code.rounds = np.repeat(np.arange(len(counts), dtype=np.uint16), counts)
+    return code

@@ -115,7 +115,7 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
             f"{pairs} pairs exceed the pair budget of {budget}; "
             f"use sampled verification instead")
 
-    rows_list = [code.member_rows(i) for i in range(m)]
+    rows_list = code.codes.tolist()
     best = None
     witness = None
     if code.q == 2:
@@ -198,11 +198,7 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
     rounds = code.rounds
     if rounds is not None and len(rounds):
         extra = -(-samples // 10)
-        if hasattr(rounds, "min"):
-            multi_round = int(rounds.min()) != int(rounds.max())
-        else:
-            multi_round = min(rounds) != max(rounds)
-        if multi_round:
+        if rounds.min() != rounds.max():
             found = 0
             attempts = 0
             while found < extra and attempts < 50 * extra:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from subspace_codes import cli
 from subspace_codes.cli import main
+from subspace_codes.errors import InternalConsistencyError
 from subspace_codes.gabidulin import BUDGET_ENV_VAR
 
 
@@ -232,3 +234,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "25"
+
+
+@pytest.mark.parametrize("exc", [InternalConsistencyError("round member lost rank"),
+                                 MemoryError()])
+def test_internal_failures_exit_2(capsys, monkeypatch, tmp_path, exc):
+    """Status 1 means a verification failed; every other error is 2."""
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "assemble_parallel", fail)
+    rc, out, err = run(capsys, "construct", "--q", "2", "--n", "2", "--k", "2",
+                       "--d", "2", "--s", "0", "--out", str(tmp_path / "c.txt"))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -1,5 +1,7 @@
 """Reading and writing the plain-text code format."""
 
+import hashlib
+
 import pytest
 
 from subspace_codes.codefile import CodeFileHeader, read_code, write_code
@@ -21,7 +23,7 @@ def test_roundtrip_binary(tmp_path):
     assert header.members == 481
     assert header.construction is not None
     assert header.construction.n == 2 and header.construction.s == 1
-    assert [int(v) for v in back.codes] == [int(v) for v in code.codes]
+    assert back.codes.tolist() == code.codes.tolist()
     assert list(map(int, back.rounds)) == list(map(int, code.rounds))
 
 
@@ -29,7 +31,19 @@ def test_roundtrip_nonbinary(tmp_path):
     code = assemble_parallel(3, 2, 2, 2, 0)
     header, back = roundtrip(tmp_path, code)
     assert header.q == 3 and header.members == 113
-    assert [int(v) for v in back.codes] == [int(v) for v in code.codes]
+    assert back.codes.tolist() == code.codes.tolist()
+
+
+@pytest.mark.parametrize("params, sha256", [
+    ((2, 2, 2, 2, 1),
+     "9bd077958a3343c3e76140b309cc9e3fd71262e8948a2e702458826e088c98df"),
+    ((3, 2, 2, 2, 0),
+     "630e6a92cc4349c6b62f26e165885000239be2fc2a142674508116a1b59c2ad9"),
+])
+def test_written_file_is_byte_identical_to_golden(tmp_path, params, sha256):
+    path = tmp_path / "code.txt"
+    write_code(assemble_parallel(*params), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_file_is_line_oriented_ascii(tmp_path):
@@ -162,7 +176,7 @@ def test_reader_accepts_in_format_tampering(tmp_path):
     lines[i] = "".join(body)
     path.write_text("\n".join(lines) + "\n")
     _, back = read_code(path)
-    assert int(back.codes[0]) != int(code.codes[0])
+    assert back.member_rows(0) != code.member_rows(0)
     assert len(back) == len(code)
 
 
@@ -181,6 +195,27 @@ def test_rounds_reconstructed_only_when_sizes_agree(tmp_path):
     header, back = read_code(path)
     assert header.members == 480
     assert back.rounds is None
+
+
+def test_reader_rejects_rows_past_uint64_before_body(tmp_path):
+    path = tmp_path / "wide.txt"
+    # the body line is malformed too; the width check must fire first
+    path.write_text("subspace-code v1\nq=2\nambient=65\nk=1\nd=2\n"
+                    "members=1\n--\nnot a row\n")
+    with pytest.raises(CodeFileError, match=r"2\*\*64"):
+        read_code(path)
+
+
+def test_reader_rejects_non_ascii_bytes(tmp_path):
+    code = assemble_parallel(2, 2, 2, 2, 0)
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    data = path.read_bytes()
+    for at in (2, data.index(b"q=2") + 3, data.index(b"--\n") + 4):
+        bad = tmp_path / f"bad{at}.txt"
+        bad.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(CodeFileError):
+            read_code(bad)
 
 
 def test_missing_file_raises_oserror(tmp_path):

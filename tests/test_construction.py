@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from subspace_codes.bounds import block_cardinalities, parallel_lower_bound
@@ -11,7 +12,6 @@ from subspace_codes.construction import (
     assemble_parallel,
     canonicalize,
     lift,
-    pack_member,
 )
 from subspace_codes.errors import (
     BudgetExceededError,
@@ -128,7 +128,7 @@ def test_assembled_sizes_match_bound(q, n, k, d, s, size):
 def test_assembly_is_deterministic():
     a = assemble_parallel(2, 2, 2, 2, 1)
     b = assemble_parallel(2, 2, 2, 2, 1)
-    assert list(a.codes) == list(b.codes)
+    assert a.codes.tolist() == b.codes.tolist()
     assert list(a.rounds) == list(b.rounds)
 
 
@@ -210,11 +210,37 @@ def test_assembly_parameter_validation():
         assemble_parallel(2, 2, 2, 2, -1)
 
 
-def test_pack_member_layout():
-    # row 0 occupies the least significant digits
-    rows = (0b01, 0b10)
-    assert pack_member(rows, 2, 2) == 0b01 + 0b10 * 4
-    assert pack_member((5, 7), 3, 2) == 5 + 7 * 9
+def test_member_row_layout():
+    # member i is the row tuple codes[i]; row 0 comes first
+    code = CDC(2, 2, 2, 2, [(0b01, 0b10)])
+    assert code.codes.tolist() == [[0b01, 0b10]]
+    assert code.member_rows(0) == (0b01, 0b10)
+    assert CDC(3, 2, 2, 2, [(5, 7)]).member_rows(0) == (5, 7)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_code_layout_is_uint64_rows(q):
+    code = assemble_parallel(q, 2, 2, 2, 1)
+    assert code.codes.shape == (len(code), 2)
+    assert code.codes.dtype == np.uint64
+    assert code.codes.flags.c_contiguous
+    assert code.rounds.dtype == np.uint16 and code.rounds.ndim == 1
+
+
+def test_distinct_count_sees_injected_duplicate():
+    base = assemble_parallel(3, 2, 2, 2, 0)
+    rows = base.codes.tolist()
+    rows.insert(7, rows[40])
+    code = CDC(base.q, base.ambient, base.k, base.d, rows)
+    assert code.distinct_count() == len(set(map(tuple, code.codes.tolist())))
+    assert code.distinct_count() == len(base) == len(code) - 1
+
+
+def test_cdc_rejects_rows_past_uint64():
+    with pytest.raises(InvalidParameterError, match=r"2\*\*64"):
+        CDC(2, 65, 1, 2, [])
+    top = CDC(2, 64, 1, 2, [(2 ** 64 - 1,)])
+    assert top.member_rows(0) == (2 ** 64 - 1,)
 
 
 def test_subspace_accessors():

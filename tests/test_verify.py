@@ -41,15 +41,7 @@ def grassmannian(q, n, k):
 def lifted_code(q, n, k, delta):
     code = gabidulin_enumerate(q, n, k, delta)
     subs = [lift(w) for w in code.codewords]
-    ambient = k + n
-    packed = []
-    base = q ** ambient
-    for sub in subs:
-        value = 0
-        for r in reversed(sub.rows):
-            value = value * base + r
-        packed.append(value)
-    return CDC(q, ambient, k, 2 * delta, packed)
+    return CDC(q, k + n, k, 2 * delta, [sub.rows for sub in subs])
 
 
 def test_distance_basics():
