@@ -10,7 +10,6 @@ from .bounds import (
     CdcParams,
     TableRow,
     block_cardinalities,
-    build_table,
     johnson_anticode_upper,
     johnson_iterated_upper,
     lifted_mrd_size,
@@ -44,8 +43,6 @@ from .fields import (
     MatrixGF,
     SUPPORTED_Q,
     extension_field,
-    ff_inv,
-    ff_mul,
     field_of,
     linearized_eval,
     mat_rank,

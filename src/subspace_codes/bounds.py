@@ -73,21 +73,12 @@ class CdcParams:
 class BoundResult:
     """A bound value together with the parameters it applies to.
 
-    ``kind`` says which bound produced the value.  ``reference`` optionally
-    carries a previously known value of the same kind of bound, as a pair
-    (value, label), so improvements can be reported uniformly.
+    ``kind`` says which bound produced the value.
     """
 
     params: CdcParams
     value: int
     kind: str
-    reference: tuple | None = None
-
-    @property
-    def improves_reference(self):
-        if self.reference is None:
-            return None
-        return self.value > self.reference[0]
 
 
 def lifted_mrd_size(q: int, n: int, k: int, delta: int) -> int:
@@ -239,31 +230,3 @@ def reproduce_reference_table() -> list:
         out.append(ReproducedRow(row, res.value,
                                  res.value == row.new, row.new > row.old))
     return out
-
-
-def build_table(rows, references=None):
-    """Evaluate the parallel lower bound over many parameter sets.
-
-    ``rows`` is an iterable of CdcParams with n and s present.  References,
-    if given, map (q, ambient, d, k) to (value, label) pairs attached to the
-    matching results.  Rows with invalid parameters do not abort the batch;
-    they are returned separately as (params, message) pairs.
-    """
-    references = references or {}
-    results = []
-    errors = []
-    for params in rows:
-        try:
-            if params.n is None or params.s is None:
-                raise InvalidParameterError("table rows need n and s")
-            params.validate()
-            res = parallel_lower_bound(params.q, params.n, params.k,
-                                       params.d, params.s)
-        except InvalidParameterError as exc:
-            errors.append((params, str(exc)))
-            continue
-        ref = references.get((params.q, params.ambient, params.d, params.k))
-        if ref is not None:
-            res = BoundResult(res.params, res.value, res.kind, tuple(ref))
-        results.append(res)
-    return results, errors

@@ -28,15 +28,7 @@ from .bounds import (
 from .codefile import read_code, write_code
 from .construction import assemble_parallel
 from .counting import delsarte_rank_distribution
-from .errors import (
-    CodeFileError,
-    IncompatibleFieldError,
-    IncompatibleSpacesError,
-    InternalConsistencyError,
-    InvalidElementError,
-    InvalidParameterError,
-    RankDeficiencyError,
-)
+from .errors import InvalidParameterError
 from .verify import reconcile
 
 FORMATS = ("human", "csv", "json")
@@ -220,13 +212,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InvalidParameterError, InvalidElementError, CodeFileError,
-            IncompatibleFieldError, IncompatibleSpacesError,
-            RankDeficiencyError, InternalConsistencyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -151,14 +151,6 @@ class CDC:
             (ordered[1:] != ordered[:-1]).any(axis=1)))
 
 
-def _shifted_rows(words, q: int, offset: int):
-    # packed rows of every codeword, moved to a column slot; a digit shift
-    # is multiplication by q**offset
-    mult = q ** offset
-    return [tuple(pack_row(w.row_list(i), q) * mult for i in range(w.rows))
-            for w in words]
-
-
 def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
                       budget: int | None = None) -> CDC:
     """Construct the full parallel code for these parameters.
@@ -203,8 +195,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
         acc = np.asarray([[q ** (pivot_offset + i) for i in range(k)]],
                          dtype=np.uint64)
         for words, offset in slot_sources:
-            part = np.asarray(_shifted_rows(words, q, offset),
-                              dtype=np.uint64).reshape(-1, k)
+            part = words * np.uint64(q ** offset)
             acc = (acc[:, None, :] + part[None, :, :]).reshape(-1, k)
         codes[written:written + len(acc)] = acc
         written += len(acc)
@@ -213,7 +204,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     def emit_reduced_round(slot_sources, pivot_offset):
         nonlocal written
         id_rows = tuple(q ** (pivot_offset + i) for i in range(k))
-        shifted = [_shifted_rows(words, q, offset)
+        shifted = [(words * np.uint64(q ** offset)).tolist()
                    for words, offset in slot_sources]
         emitted = 0
         for combo in product(*shifted):

@@ -13,7 +13,7 @@ Base fields handed out by :func:`field_of` are restricted to orders
 2, 3, 4, 5, 7, 8 and 9.  That keeps every lookup table tiny while covering
 every order the counting formulas in this package are tabulated for.
 Extension fields GF(q^m) are realized as GF(p^(e*m)) and carry an explicit
-embedding of GF(q) plus coordinate maps for a chosen GF(q)-basis.
+embedding of GF(q) plus coordinate maps for the power basis over GF(q).
 """
 
 from __future__ import annotations
@@ -233,32 +233,17 @@ def check_element(field: Field, a: int, what: str = "element") -> int:
     return a
 
 
-def ff_mul(a: int, b: int, field: Field) -> int:
-    """Multiply two field elements given by index, with argument validation."""
-    check_element(field, a)
-    check_element(field, b)
-    return field.mul(a, b)
-
-
-def ff_inv(a: int, field: Field) -> int:
-    """Multiplicative inverse of a nonzero element; ZeroDivisionError on 0."""
-    check_element(field, a)
-    return field.inv(a)
-
-
 class Extension:
     """GF(q^m) presented as an m-dimensional vector space over GF(q).
 
     Carries the subfield embedding and the coordinate maps for ``basis``,
-    which defaults to the power basis 1, g, ..., g^(m-1) of the extension
-    generator g.  A different basis (any m extension elements linearly
-    independent over the subfield) can be supplied explicitly.
+    the power basis 1, g, ..., g^(m-1) of the extension generator g.
 
     Coordinates returned by :meth:`expand` are base-field element indices,
     ordered to match ``basis``.
     """
 
-    def __init__(self, base: Field, m: int, basis=None):
+    def __init__(self, base: Field, m: int):
         if m < 1:
             raise InvalidParameterError(f"extension degree must be >= 1, got {m}")
         self.base = base
@@ -293,15 +278,7 @@ class Extension:
             emb.append(acc)
         self._emb = tuple(emb)
 
-        if basis is None:
-            self.basis = tuple(ext.pow(ext.generator, j) for j in range(m))
-            custom = False
-        else:
-            self.basis = tuple(check_element(ext, b, "basis element") for b in basis)
-            if len(self.basis) != m:
-                raise InvalidParameterError(
-                    f"basis must have {m} elements, got {len(self.basis)}")
-            custom = True
+        self.basis = tuple(ext.pow(ext.generator, j) for j in range(m))
 
         # columns of the change matrix are the GF(p)-digit vectors of
         # emb(alpha^t) * basis_j; inverting it turns extension digits into
@@ -315,9 +292,6 @@ class Extension:
         mat = [[cols[c][r] for c in range(n)] for r in range(n)]
         inv = _invert_mod_p(mat, base.p)
         if inv is None:
-            if custom:
-                raise InvalidParameterError(
-                    "supplied elements are not a basis over the subfield")
             raise InternalConsistencyError("power basis change matrix is singular")
         self._inv_rows = tuple(tuple(r) for r in inv)
         self._expand_cache = [None] * ext.q
@@ -347,17 +321,6 @@ class Extension:
         coords = tuple(self.base.undigits(y[j * e:(j + 1) * e]) for j in range(self.m))
         self._expand_cache[x] = coords
         return coords
-
-    def combine(self, coords) -> int:
-        """Inverse of :meth:`expand`."""
-        if len(coords) != self.m:
-            raise InvalidParameterError(
-                f"expected {self.m} coordinates, got {len(coords)}")
-        acc = 0
-        for c, b in zip(coords, self.basis):
-            check_element(self.base, c, "coordinate")
-            acc = self.ext.add(acc, self.ext.mul(self._emb[c], b))
-        return acc
 
     def __repr__(self):
         return f"GF({self.base.q}^{self.m})"

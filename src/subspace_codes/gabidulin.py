@@ -16,9 +16,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .counting import truncated_rank_sum
 from .errors import BudgetExceededError, InternalConsistencyError, InvalidParameterError
-from .fields import Extension, MatrixGF, extension_field, field_of, mat_rank
+from .fields import extension_field, field_of, linearized_eval, packed_rank
 
 DEFAULT_ENUM_BUDGET = 2 ** 24
 BUDGET_ENV_VAR = "SUBSPACE_ENUM_BUDGET"
@@ -53,14 +55,16 @@ class RankCodeSpec:
 
 @dataclass
 class RankCode:
-    """A list of rank-metric codewords in a fixed deterministic order.
+    """Rank-metric codewords in a fixed deterministic order.
 
-    ``full`` distinguishes a complete evaluation code from a filtered
+    ``codewords`` is a C-contiguous (W, k) np.uint64 array: row r of word w
+    is ``codewords[w, r]``, packed as sum(entry_c * q**c) like the rows of a
+    CDC.  ``full`` distinguishes a complete evaluation code from a filtered
     subset; spec.cardinality always refers to the complete code.
     """
 
     spec: RankCodeSpec
-    codewords: list
+    codewords: np.ndarray
     full: bool = True
 
     def __len__(self):
@@ -68,21 +72,24 @@ class RankCode:
 
 
 def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
-                        budget: int | None = None,
-                        basis=None) -> RankCode:
+                        budget: int | None = None) -> RankCode:
     """Enumerate the full evaluation code for the given shape.
 
     Codewords appear in coefficient order: message index t encodes the
     coefficients f_j = (t // Q^j) mod Q with Q = q^n, so index 0 is the zero
     word and consecutive indices first step f_0 through GF(q^n).  Evaluation
-    points are the first k elements of the coordinate basis of GF(q^n); a
-    different basis changes the matrices but not their ranks.
+    points are the first k elements of the power basis of GF(q^n).
+
+    With q = p^e, message t maps GF(p)-linearly to its word, digit i of t in
+    base p scaling the basis word of message p^i.  Only those e*n*kappa basis
+    words are evaluated; the code is their GF(p)-span, built on base-p digit
+    arrays in message order and packed once.
     """
     if not 1 <= delta <= k <= n:
         raise InvalidParameterError(
             f"need 1 <= delta <= k <= n, got delta={delta}, k={k}, n={n}")
     base = field_of(q)
-    ext = extension_field(q, n) if basis is None else Extension(base, n, basis)
+    ext = extension_field(q, n)
     kappa = k - delta + 1
     cardinality = q ** (n * kappa)
     allowed = resolve_enum_budget(budget)
@@ -92,29 +99,37 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
             f"{allowed}; pass a larger budget or set {BUDGET_ENV_VAR}")
 
     E = ext.ext
-    Q = E.q
+    p = base.p
     points = ext.basis[:k]
-    # frobenius powers of every evaluation point, P[i][j] = x_i^(q^j)
-    P = [[E.pow(x, q ** j) for j in range(kappa)] for x in points]
+    # message p^i has coefficient f_(i // E.e) = p^(i % E.e), the index of a
+    # power basis element of GF(q^n) over GF(p), and every other one zero;
+    # acc holds the words of messages 0 .. p^i - 1 as base-p digits
+    acc = np.zeros((1, k, n * base.e), dtype=np.uint8)
+    for i in range(E.e * kappa):
+        coeffs = [0] * kappa
+        coeffs[i // E.e] = p ** (i % E.e)
+        word = np.array([[d for c in ext.expand(linearized_eval(coeffs, x, q, E))
+                          for d in base.digits(c)] for x in points],
+                        dtype=np.uint8)
+        acc = np.concatenate([(acc + c * word) % p for c in range(p)])
 
-    spec = RankCodeSpec(q, n, k, delta, cardinality)
-    words = []
-    for t in range(cardinality):
-        coeffs = []
-        rest = t
-        for _ in range(kappa):
-            rest, c = divmod(rest, Q)
-            coeffs.append(c)
-        flat = []
-        for i in range(k):
-            acc = 0
-            row = P[i]
-            for j, c in enumerate(coeffs):
-                if c:
-                    acc = E.add(acc, E.mul(c, row[j]))
-            flat.extend(ext.expand(acc))
-        words.append(MatrixGF(base, k, n, tuple(flat)))
-    return RankCode(spec, words)
+    # entry c of a row has its base-p digits at positions c*e .. c*e + e - 1,
+    # so the packed row sum(entry_c * q**c) is sum(digit_j * p**j)
+    words = np.zeros(acc.shape[:2], dtype=np.uint64)
+    for j in range(acc.shape[2]):
+        words += acc[:, :, j] * np.uint64(p ** j)
+    return RankCode(RankCodeSpec(q, n, k, delta, cardinality), words)
+
+
+def _ranks(code: RankCode):
+    # rank of each word in order; words become Python ints a chunk at a
+    # time, so a budget-sized code is never held as lists all at once
+    field = field_of(code.spec.q)
+    n = code.spec.n
+    words = code.codewords
+    for start in range(0, len(words), 4096):
+        for rows in words[start:start + 4096].tolist():
+            yield packed_rank(rows, field, n)
 
 
 def sq_filter(code: RankCode, max_rank: int, include_zero: bool = False) -> RankCode:
@@ -128,22 +143,16 @@ def sq_filter(code: RankCode, max_rank: int, include_zero: bool = False) -> Rank
     if not 0 <= max_rank <= k:
         raise InvalidParameterError(
             f"max_rank must lie in [0, {k}], got {max_rank}")
-    kept = []
-    for w in code.codewords:
-        r = mat_rank(w)
-        if r > max_rank:
-            continue
-        if r == 0 and not include_zero:
-            continue
-        kept.append(w)
-    return RankCode(code.spec, kept, full=False)
+    low = 0 if include_zero else 1
+    keep = np.fromiter((low <= r <= max_rank for r in _ranks(code)),
+                       dtype=bool, count=len(code))
+    return RankCode(code.spec, code.codewords[keep], full=False)
 
 
 def empirical_rank_distribution(code: RankCode) -> dict:
     """Rank histogram of the stored codewords, as {rank: count}."""
     counts: dict = {}
-    for w in code.codewords:
-        r = mat_rank(w)
+    for r in _ranks(code):
         counts[r] = counts.get(r, 0) + 1
     return counts
 

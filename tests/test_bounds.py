@@ -5,11 +5,9 @@ import itertools
 import pytest
 
 from subspace_codes.bounds import (
-    BoundResult,
     CdcParams,
     TableRow,
     block_cardinalities,
-    build_table,
     johnson_anticode_upper,
     johnson_iterated_upper,
     lifted_mrd_size,
@@ -149,16 +147,6 @@ def test_params_validation():
     assert ok.ambient == 6
 
 
-def test_improves_reference_property():
-    res = parallel_lower_bound(2, 5, 5, 4, 1)
-    assert res.improves_reference is None
-    better = BoundResult(res.params, res.value, res.kind, reference=(10 ** 12, "x"))
-    assert better.improves_reference is True
-    worse = BoundResult(res.params, res.value, res.kind,
-                        reference=(res.value, "x"))
-    assert worse.improves_reference is False
-
-
 def test_load_reference_rows():
     rows = load_reference_rows()
     assert len(rows) == 56
@@ -187,31 +175,3 @@ def test_rows_not_beating_prior_record():
                   for r in repro if not r.improves)
     assert flat == [(3, 18, 4, 5), (4, 18, 4, 5), (5, 18, 4, 5),
                     (7, 18, 4, 5), (8, 18, 4, 5), (9, 18, 4, 5)]
-
-
-def test_build_table():
-    rows = [CdcParams(2, 6, 2, 2, n=2, s=1),
-            CdcParams(2, 15, 4, 5, n=5, s=1)]
-    refs = {(2, 15, 4, 5): (1235787711790, "prior record")}
-    results, errors = build_table(rows, references=refs)
-    assert errors == []
-    assert [r.value for r in results] == [481, 1252379805361]
-    assert results[0].improves_reference is None
-    assert results[1].improves_reference is True
-    assert results[1].reference == (1235787711790, "prior record")
-
-
-def test_build_table_collects_errors_and_continues():
-    rows = [CdcParams(2, 6, 2, 2, n=2, s=1),
-            CdcParams(2, 6, 3, 2, n=2, s=1),   # odd distance
-            CdcParams(2, 6, 2, 2),             # no construction fields
-            CdcParams(2, 2, 2, 2, n=2, s=55),  # ambient mismatch
-            CdcParams(2, 7, 2, 2, n=3, s=1)]
-    results, errors = build_table(rows)
-    assert len(results) == 2
-    assert len(errors) == 3
-    assert results[0].value == 481
-    assert results[1].value == parallel_lower_bound(2, 3, 2, 2, 1).value
-    for params, message in errors:
-        assert isinstance(params, CdcParams)
-        assert message

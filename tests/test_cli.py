@@ -237,7 +237,7 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("exc", [InternalConsistencyError("round member lost rank"),
-                                 MemoryError()])
+                                 MemoryError(), ZeroDivisionError("x")])
 def test_internal_failures_exit_2(capsys, monkeypatch, tmp_path, exc):
     """Status 1 means a verification failed; every other error is 2."""
     def fail(*args, **kwargs):

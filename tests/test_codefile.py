@@ -39,6 +39,10 @@ def test_roundtrip_nonbinary(tmp_path):
      "9bd077958a3343c3e76140b309cc9e3fd71262e8948a2e702458826e088c98df"),
     ((3, 2, 2, 2, 0),
      "630e6a92cc4349c6b62f26e165885000239be2fc2a142674508116a1b59c2ad9"),
+    ((4, 2, 2, 2, 0),
+     "62fe30e4b24a0610ce611fb31733d7e5ad31d1e8c7209d172b6fd2515b95ebd9"),
+    ((9, 2, 2, 2, 0),
+     "a61e0b6b2433c2a94d4719490b4cbe91ef568e3f820a5d01393fa3954d67c670"),
 ])
 def test_written_file_is_byte_identical_to_golden(tmp_path, params, sha256):
     path = tmp_path / "code.txt"

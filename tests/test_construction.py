@@ -24,6 +24,7 @@ from subspace_codes.fields import (
     mat_rank,
     mat_sub,
     matrix,
+    unpack_row,
     zero_matrix,
 )
 from subspace_codes.gabidulin import BUDGET_ENV_VAR, gabidulin_enumerate, sq_filter
@@ -150,8 +151,13 @@ def test_two_round_code_against_manual_lifts():
 
     full = gabidulin_enumerate(q, n, k, d // 2)
     low = sq_filter(gabidulin_enumerate(q, n, k, d // 2), k - d // 2)
-    want = {lift(a) for a in full.codewords}
-    want |= {lift(b, side="right") for b in low.codewords}
+    f = field_of(q)
+
+    def word(rows):
+        return matrix(f, [unpack_row(r, q, n) for r in rows])
+
+    want = {lift(word(a)) for a in full.codewords.tolist()}
+    want |= {lift(word(b), side="right") for b in low.codewords.tolist()}
     assert got == want
 
 

@@ -1,6 +1,10 @@
 """Explicit enumeration of evaluation codes and the rank filter."""
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subspace_codes.counting import delsarte_rank_distribution
 from subspace_codes.errors import (
@@ -8,7 +12,14 @@ from subspace_codes.errors import (
     InternalConsistencyError,
     InvalidParameterError,
 )
-from subspace_codes.fields import extension_field, mat_rank, mat_sub
+from subspace_codes.fields import (
+    extension_field,
+    field_of,
+    linearized_eval,
+    pack_row,
+    packed_rank,
+    unpack_row,
+)
 from subspace_codes.gabidulin import (
     BUDGET_ENV_VAR,
     DEFAULT_ENUM_BUDGET,
@@ -37,6 +48,46 @@ GRID = [
 ]
 
 
+
+
+def oracle_word(q, n, k, delta, t):
+    """Packed rows of message t, evaluated one point at a time."""
+    ext = extension_field(q, n)
+    E = ext.ext
+    coeffs = [(t // E.q ** j) % E.q for j in range(k - delta + 1)]
+    return [pack_row(ext.expand(linearized_eval(coeffs, x, q, E)), q)
+            for x in ext.basis[:k]]
+
+
+def ranks(code):
+    f = field_of(code.spec.q)
+    return [packed_rank(w, f, code.spec.n) for w in code.codewords.tolist()]
+
+
+@lru_cache(maxsize=None)
+def enumerated(q, n, k, delta):
+    return gabidulin_enumerate(q, n, k, delta)
+
+
+@pytest.mark.parametrize("q, n, k, delta", GRID + [(7, 2, 2, 2)])
+def test_every_word_matches_scalar_oracle(q, n, k, delta):
+    code = gabidulin_enumerate(q, n, k, delta)
+    assert code.codewords.dtype == np.uint64
+    assert code.codewords.flags.c_contiguous
+    assert code.codewords.shape == (code.spec.cardinality, k)
+    for t, word in enumerate(code.codewords.tolist()):
+        assert word == oracle_word(q, n, k, delta, t)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 4, 2), (3, 3, 3, 1)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_messages_match_scalar_oracle(shape, data):
+    code = enumerated(*shape)
+    t = data.draw(st.integers(0, len(code) - 1))
+    assert code.codewords[t].tolist() == oracle_word(*shape, t)
+
+
 @pytest.mark.parametrize("q, n, k, delta", GRID)
 def test_empirical_distribution_matches_delsarte(q, n, k, delta):
     code = gabidulin_enumerate(q, n, k, delta)
@@ -50,42 +101,47 @@ def test_empirical_distribution_matches_delsarte(q, n, k, delta):
 @pytest.mark.parametrize("q, n, k, delta", GRID)
 def test_minimum_nonzero_rank_is_delta(q, n, k, delta):
     code = gabidulin_enumerate(q, n, k, delta)
-    ranks = {mat_rank(w) for w in code.codewords}
-    assert min(ranks - {0}) == delta
+    assert min(set(ranks(code)) - {0}) == delta
 
 
 def test_code_is_linear():
-    code = gabidulin_enumerate(2, 3, 3, 2)
-    members = set(code.codewords)
-    assert len(members) == len(code)
-    picks = code.codewords[::7]
-    for a in picks:
-        for b in picks:
-            assert mat_sub(a, b) in members
+    for q, n, k, delta in [(2, 3, 3, 2), (3, 3, 2, 2), (4, 2, 2, 2), (9, 2, 2, 2)]:
+        f = field_of(q)
+        code = gabidulin_enumerate(q, n, k, delta)
+        words = [tuple(w) for w in code.codewords.tolist()]
+        members = set(words)
+        assert len(members) == len(code)
+        picks = words[::7]
+        for a in picks:
+            for b in picks:
+                diff = tuple(
+                    pack_row([f.sub(x, y) for x, y in
+                              zip(unpack_row(u, q, n), unpack_row(v, q, n))], q)
+                    for u, v in zip(a, b))
+                assert diff in members
 
 
 def test_message_order_is_little_endian():
     q, n, k, delta = 2, 4, 3, 2
     code = gabidulin_enumerate(q, n, k, delta)
-    zero = code.codewords[0]
-    assert all(e == 0 for e in zero.entries)
+    assert code.codewords[0].tolist() == [0] * k
     # message 1 is f(x) = x; with the default power basis the first k
     # evaluation points expand to unit vectors
-    ident = code.codewords[1]
+    ident = code.codewords[1].tolist()
     for i in range(k):
-        assert ident.row_list(i) == [1 if j == i else 0 for j in range(n)]
+        assert unpack_row(ident[i], q, n) == [1 if j == i else 0 for j in range(n)]
     # message Q is f(x) = x^q, the Frobenius applied to each point
     ext = extension_field(q, n)
-    frob = code.codewords[ext.ext.q]
+    frob = code.codewords[ext.ext.q].tolist()
     for i in range(k):
         x = ext.basis[i]
-        assert tuple(frob.row_list(i)) == ext.expand(ext.ext.pow(x, q))
+        assert tuple(unpack_row(frob[i], q, n)) == ext.expand(ext.ext.pow(x, q))
 
 
 def test_enumeration_is_deterministic():
     a = gabidulin_enumerate(3, 2, 2, 2)
     b = gabidulin_enumerate(3, 2, 2, 2)
-    assert a.codewords == b.codewords
+    assert np.array_equal(a.codewords, b.codewords)
 
 
 def test_parameter_validation():
@@ -139,7 +195,7 @@ def test_sq_filter_counts():
             kept = sq_filter(code, max_rank)
             assert len(kept) == expected_low_rank_count(code.spec, max_rank)
             assert not kept.full
-            assert all(0 < mat_rank(w) <= max_rank for w in kept.codewords)
+            assert all(0 < r <= max_rank for r in ranks(kept))
         with_zero = sq_filter(code, delta, include_zero=True)
         assert len(with_zero) == expected_low_rank_count(code.spec, delta,
                                                          include_zero=True)
@@ -157,10 +213,13 @@ def test_sq_filter_edges():
 
 
 def test_sq_filter_preserves_order():
-    code = gabidulin_enumerate(2, 4, 4, 2)
-    kept = sq_filter(code, 2)
-    positions = [code.codewords.index(w) for w in kept.codewords[:20]]
-    assert positions == sorted(positions)
+    for q, n, k, delta in [(2, 4, 4, 2), (3, 3, 2, 2)]:
+        code = gabidulin_enumerate(q, n, k, delta)
+        kept = sq_filter(code, k - 1)
+        index = {tuple(w): t for t, w in enumerate(code.codewords.tolist())}
+        positions = [index[tuple(w)] for w in kept.codewords.tolist()]
+        assert positions == sorted(positions)
+        assert positions == [t for t, r in enumerate(ranks(code)) if 0 < r <= k - 1]
 
 
 def test_checked_sq_filter_rejects_partial_codes():
@@ -171,24 +230,12 @@ def test_checked_sq_filter_rejects_partial_codes():
         checked_sq_filter(once, 2)
 
 
-def test_rank_spectrum_is_basis_invariant():
-    q, n, k, delta = 2, 3, 3, 2
-    default = gabidulin_enumerate(q, n, k, delta)
-    f = extension_field(q, n).ext
-    g = f.generator
-    alt = gabidulin_enumerate(q, n, k, delta, basis=(f.pow(g, 2), g, 1))
-    assert default.codewords != alt.codewords
-    a = empirical_rank_distribution(default)
-    b = empirical_rank_distribution(alt)
-    assert a == b
-
-
 def test_checked_filter_detects_tampering():
     code = gabidulin_enumerate(2, 3, 3, 2)
     # drop one low-rank codeword; the distribution cross-check must fire
     victim = sq_filter(code, 2).codewords[0]
-    tampered = RankCode(code.spec,
-                        [w for w in code.codewords if w != victim],
-                        full=True)
+    keep = (code.codewords != victim).any(axis=1)
+    assert np.count_nonzero(~keep) == 1
+    tampered = RankCode(code.spec, code.codewords[keep], full=True)
     with pytest.raises(InternalConsistencyError):
         checked_sq_filter(tampered, 2)

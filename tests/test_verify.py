@@ -11,7 +11,7 @@ from subspace_codes.errors import (
     IncompatibleSpacesError,
     InvalidParameterError,
 )
-from subspace_codes.fields import field_of, mat_rank, matrix
+from subspace_codes.fields import field_of, mat_rank, matrix, unpack_row
 from subspace_codes.gabidulin import gabidulin_enumerate
 from subspace_codes.verify import (
     LCG_INCREMENT,
@@ -40,7 +40,9 @@ def grassmannian(q, n, k):
 
 def lifted_code(q, n, k, delta):
     code = gabidulin_enumerate(q, n, k, delta)
-    subs = [lift(w) for w in code.codewords]
+    f = field_of(q)
+    subs = [lift(matrix(f, [unpack_row(r, q, n) for r in w]))
+            for w in code.codewords.tolist()]
     return CDC(q, k + n, k, 2 * delta, [sub.rows for sub in subs])
 
 
