@@ -40,7 +40,7 @@ import numpy as np
 from .bounds import CdcParams, block_cardinalities
 from .construction import CDC
 from .errors import CodeFileError, InvalidParameterError
-from .fields import field_of, packed_rref
+from .fields import rref_rows
 
 MAGIC = "subspace-code"
 VERSION = 1
@@ -165,7 +165,6 @@ def read_code(path):
         if q > 9:
             raise CodeFileError(f"single-digit storage cannot hold q={q}")
         try:
-            fieldobj = field_of(q)
             # an empty code checks the row width before the body is read
             CDC(q, ambient, k, d, ())
         except InvalidParameterError as exc:
@@ -197,13 +196,16 @@ def read_code(path):
                     raise CodeFileError(f"digit {bad!r} outside GF({q})")
                 # column 0 is the leftmost digit and the least significant
                 rows.append(int(g[::-1], q))
-            # the format stores canonical generator rows; anything else is a
-            # malformed file, not a code with surprising members
-            if packed_rref(rows, fieldobj, ambient) != tuple(rows):
-                raise CodeFileError(
-                    f"member {count + 1} rows are not in canonical form")
             rows_buf.extend(rows)
             count += 1
+    codes = np.frombuffer(rows_buf, dtype=np.uint64).reshape(-1, k)
+    # the format stores canonical generator rows; anything else is a
+    # malformed file, not a code with surprising members
+    ranks, reduced = rref_rows(codes, q, ambient)
+    bad = np.flatnonzero((ranks != k) | (reduced != codes).any(axis=1))
+    if len(bad):
+        raise CodeFileError(
+            f"member {bad[0] + 1} rows are not in canonical form")
     if count != members:
         raise CodeFileError(
             f"header declares {members} members, body has {count}")
@@ -213,6 +215,5 @@ def read_code(path):
         sizes = block_cardinalities(q, construction.n, k, d, construction.s)
         if sum(sizes) == count:
             rounds = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
-    codes = np.frombuffer(rows_buf, dtype=np.uint64)
     hdr = CodeFileHeader(version, q, ambient, k, d, members, construction)
-    return hdr, CDC(q, ambient, k, d, codes.reshape(-1, k), rounds, construction)
+    return hdr, CDC(q, ambient, k, d, codes, rounds, construction)

@@ -20,7 +20,6 @@ q**N <= 2**64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .fields import (
     pack_row,
     packed_rref,
     rref_full_rank,
+    rref_rows,
     unpack_row,
 )
 from .gabidulin import (
@@ -164,7 +164,6 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     cartesian product of the slot codeword lists, leftmost slot slowest.
     """
     params = CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s).validate()
-    field = field_of(q)
     ambient = params.ambient
     delta = d // 2
 
@@ -188,52 +187,34 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     written = 0
     counts = []
 
-    def emit_plain_round(slot_sources, pivot_offset):
-        # identity at pivot_offset, no reduction needed: slots occupy
-        # disjoint digit ranges, so member rows are sums of packed parts
+    def emit_round(slot_sources, pivot_offset):
+        # identity at pivot_offset plus one word per slot: slots occupy
+        # disjoint digit ranges, so member rows are sums of packed parts;
+        # with the identity left of every slot the sum is already canonical
         nonlocal written
         acc = np.asarray([[q ** (pivot_offset + i) for i in range(k)]],
                          dtype=np.uint64)
         for words, offset in slot_sources:
             part = words * np.uint64(q ** offset)
             acc = (acc[:, None, :] + part[None, :, :]).reshape(-1, k)
+        if pivot_offset:
+            ranks, acc = rref_rows(acc, q, ambient)
+            if (ranks != k).any():
+                raise InternalConsistencyError("round member lost rank")
         codes[written:written + len(acc)] = acc
         written += len(acc)
         return len(acc)
-
-    def emit_reduced_round(slot_sources, pivot_offset):
-        nonlocal written
-        id_rows = tuple(q ** (pivot_offset + i) for i in range(k))
-        shifted = [(words * np.uint64(q ** offset)).tolist()
-                   for words, offset in slot_sources]
-        emitted = 0
-        for combo in product(*shifted):
-            rows = list(id_rows)
-            for contrib in combo:
-                for i in range(k):
-                    rows[i] += contrib[i]
-            reduced = packed_rref(rows, field, ambient)
-            if len(reduced) != k:
-                raise InternalConsistencyError("round member lost rank")
-            codes[written + emitted] = reduced
-            emitted += 1
-        written += emitted
-        return emitted
 
     wide_offset = (s + 1) * k
     for b in range(s + 1):
         slot_sources = [(sq_kk.codewords, p * k) for p in range(b)]
         slot_sources += [(full_kk.codewords, p * k) for p in range(b + 1, s + 1)]
         slot_sources += [(full_nk.codewords, wide_offset)]
-        if b == 0:
-            emitted = emit_plain_round(slot_sources, 0)
-        else:
-            emitted = emit_reduced_round(slot_sources, b * k)
-        counts.append(emitted)
+        counts.append(emit_round(slot_sources, b * k))
 
     last_sources = [(sq_kk.codewords, p * k) for p in range(s)]
     last_sources += [(sq_nk.codewords, s * k)]
-    counts.append(emit_reduced_round(last_sources, s * k + n))
+    counts.append(emit_round(last_sources, s * k + n))
 
     if counts != per_round or written != total:
         raise InternalConsistencyError(

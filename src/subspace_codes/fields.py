@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     IncompatibleFieldError,
     InternalConsistencyError,
@@ -571,3 +573,74 @@ def rref_full_rank(rows, field: Field, width: int, expected: int) -> tuple:
         raise RankDeficiencyError(
             f"rows span {len(reduced)} dimensions, expected {expected}")
     return reduced
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel behind every row reduction on the production path;
+# packed_rref and packed_rank above are its reference.
+
+RREF_CHUNK = 1 << 11  # stacks per pass, which bounds the scratch arrays
+
+
+@lru_cache(maxsize=None)
+def _tables(q: int):
+    f, el = field_of(q), range(q)
+    mul = np.array([[f.mul(a, b) for b in el] for a in el], dtype=np.uint8)
+    sub = np.array([[f.sub(a, b) for b in el] for a in el], dtype=np.uint8)
+    inv = np.array([0] + [f.inv(a) for a in el[1:]], dtype=np.uint8)
+    return mul, sub, inv
+
+
+def _rref_binary(rows):
+    # rows is (r, B), so row t of every stack is one contiguous vector
+    zero = np.uint64(0)
+    for t, v in enumerate(rows):
+        for u in rows[:t]:
+            v ^= np.where(v & (u & -u), u, zero)
+        low = v & -v
+        for u in rows[:t]:
+            u ^= np.where(u & low, v, zero)
+    # each nonzero row now owns its lowest set bit, the pivot; zero rows last
+    key = np.where(rows, rows & -rows, ~zero)
+    return np.take_along_axis(rows, key.argsort(axis=0), axis=0)
+
+
+def _rref_digits(rows, q: int, width: int):
+    # reduce the (B, r, width) base-q digits column by column, then repack
+    mul, sub, inv = _tables(q)
+    powers = np.uint64(q) ** np.arange(width, dtype=np.uint64)
+    digits = (rows[:, :, None] // powers % np.uint64(q)).astype(np.uint8)
+    rank = np.zeros(len(rows), dtype=np.int64)
+    slot = np.arange(rows.shape[1])
+    for c in range(width):
+        cand = (digits[:, :, c] != 0) & (slot >= rank[:, None])
+        idx = np.flatnonzero(cand.any(axis=1))
+        sel, at, top = digits[idx], np.arange(len(idx)), rank[idx]
+        piv = cand[idx].argmax(axis=1)
+        prow = sel[at, piv]
+        sel[at, piv] = sel[at, top]
+        prow = mul[inv[prow[:, c]][:, None], prow]
+        factors = sel[:, :, c].copy()
+        factors[at, top] = 0
+        sel = sub[sel, mul[factors[:, :, None], prow[:, None, :]]]
+        sel[at, top] = prow
+        digits[idx] = sel
+        rank[idx] += 1
+    return (digits * powers).sum(axis=2, dtype=np.uint64)
+
+
+def rref_rows(rows, q: int, width: int):
+    """Rank and reduced echelon form of each stack of packed rows.
+
+    ``rows`` is a (B, r) uint64 array; ``rows[b]`` holds r rows of
+    GF(q)^width packed as sum(entry_c * q**c).  Returns ``(ranks, reduced)``
+    where ``reduced[b, :ranks[b]]`` is ``packed_rref(rows[b], field_of(q),
+    width)``, the canonical rows in pivot order, and the rest are zero.
+    """
+    reduced = np.empty_like(rows)
+    for lo in range(0, len(rows), RREF_CHUNK):
+        chunk = rows[lo:lo + RREF_CHUNK]
+        reduced[lo:lo + RREF_CHUNK] = (
+            _rref_binary(chunk.T.copy()).T if q == 2
+            else _rref_digits(chunk, q, width))
+    return np.count_nonzero(reduced, axis=1), reduced

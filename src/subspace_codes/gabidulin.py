@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import truncated_rank_sum
 from .errors import BudgetExceededError, InternalConsistencyError, InvalidParameterError
-from .fields import extension_field, field_of, linearized_eval, packed_rank
+from .fields import extension_field, field_of, linearized_eval, rref_rows
 
 DEFAULT_ENUM_BUDGET = 2 ** 24
 BUDGET_ENV_VAR = "SUBSPACE_ENUM_BUDGET"
@@ -121,17 +121,6 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
     return RankCode(RankCodeSpec(q, n, k, delta, cardinality), words)
 
 
-def _ranks(code: RankCode):
-    # rank of each word in order; words become Python ints a chunk at a
-    # time, so a budget-sized code is never held as lists all at once
-    field = field_of(code.spec.q)
-    n = code.spec.n
-    words = code.codewords
-    for start in range(0, len(words), 4096):
-        for rows in words[start:start + 4096].tolist():
-            yield packed_rank(rows, field, n)
-
-
 def sq_filter(code: RankCode, max_rank: int, include_zero: bool = False) -> RankCode:
     """Keep the codewords of rank at most max_rank.
 
@@ -144,17 +133,16 @@ def sq_filter(code: RankCode, max_rank: int, include_zero: bool = False) -> Rank
         raise InvalidParameterError(
             f"max_rank must lie in [0, {k}], got {max_rank}")
     low = 0 if include_zero else 1
-    keep = np.fromiter((low <= r <= max_rank for r in _ranks(code)),
-                       dtype=bool, count=len(code))
+    ranks, _ = rref_rows(code.codewords, code.spec.q, code.spec.n)
+    keep = (ranks >= low) & (ranks <= max_rank)
     return RankCode(code.spec, code.codewords[keep], full=False)
 
 
 def empirical_rank_distribution(code: RankCode) -> dict:
     """Rank histogram of the stored codewords, as {rank: count}."""
-    counts: dict = {}
-    for r in _ranks(code):
-        counts[r] = counts.get(r, 0) + 1
-    return counts
+    ranks, _ = rref_rows(code.codewords, code.spec.q, code.spec.n)
+    counts = np.bincount(ranks)
+    return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 
 
 def expected_low_rank_count(spec: RankCodeSpec, max_rank: int,

@@ -15,12 +15,15 @@ stream arithmetic trivial.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .bounds import CdcParams
 from .construction import CDC, Subspace
 from .errors import BudgetExceededError, IncompatibleSpacesError, InvalidParameterError
-from .fields import _row_reduce, field_of, packed_rank, unpack_row
+from .fields import RREF_CHUNK, field_of, packed_rank, rref_rows
 
 PAIR_BUDGET_DEFAULT = 2 ** 28
 
@@ -52,7 +55,8 @@ class DistanceReport:
 
     With fewer than two members there is no pair to measure; the report is
     then flagged vacuous and carries the unreachable value 2 * ambient,
-    which compares as at least any claimed distance.
+    which compares as at least any claimed distance.  ``topup_found`` of
+    ``topup_requested`` stratified cross-round pairs were sampled.
     """
 
     distance: int
@@ -62,40 +66,28 @@ class DistanceReport:
     vacuous: bool = False
     samples: int | None = None
     seed: int | None = None
+    topup_requested: int = 0
+    topup_found: int = 0
 
 
 def _vacuous_report(code: CDC, mode: str) -> DistanceReport:
     return DistanceReport(2 * code.ambient, None, 0, mode, vacuous=True)
 
 
-def _pair_distance_general(rows_i, rows_j, fieldobj, ambient, k) -> int:
-    joint = packed_rank(list(rows_i) + list(rows_j), fieldobj, ambient)
-    return 2 * (joint - k)
-
-
-def _binary_pair_count(urows, upivots, wrows) -> int:
-    # number of rows of W independent of U: reduce each row of W by U's
-    # canonical rows (pivot bit masks precomputed), then grow a scratch
-    # basis out of the leftovers
-    cnt = 0
-    basis = []
-    for w in wrows:
-        for u, pm in zip(urows, upivots):
-            if w & pm:
-                w ^= u
-        while w:
-            lb = w & -w
-            hit = None
-            for b in basis:
-                if b & -b == lb:
-                    hit = b
-                    break
-            if hit is None:
-                basis.append(w)
-                cnt += 1
+def _scan(code: CDC, blocks):
+    # blocks yields (i, j) index arrays; the distance of a pair is
+    # 2 * (rank[U; W] - k), and the first pair at the minimum is the witness
+    best = witness = None
+    for i, j in blocks:
+        stacked = np.concatenate([code.codes[i], code.codes[j]], axis=1)
+        ranks, _ = rref_rows(stacked, code.q, code.ambient)
+        t = int(ranks.argmin())
+        dist = 2 * (int(ranks[t]) - code.k)
+        if best is None or dist < best:
+            best, witness = dist, (int(i[t]), int(j[t]))
+            if best == 0:
                 break
-            w ^= hit
-    return cnt
+    return best, witness
 
 
 def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> DistanceReport:
@@ -115,34 +107,9 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
             f"{pairs} pairs exceed the pair budget of {budget}; "
             f"use sampled verification instead")
 
-    rows_list = code.codes.tolist()
-    best = None
-    witness = None
-    if code.q == 2:
-        pivots_list = [tuple(r & -r for r in rows) for rows in rows_list]
-        for i in range(m - 1):
-            urows = rows_list[i]
-            upivots = pivots_list[i]
-            for j in range(i + 1, m):
-                cnt = _binary_pair_count(urows, upivots, rows_list[j])
-                if best is None or 2 * cnt < best:
-                    best = 2 * cnt
-                    witness = (i, j)
-                    if best == 0:
-                        return DistanceReport(0, witness, pairs, "exhaustive")
-    else:
-        fieldobj = field_of(code.q)
-        vecs = [[unpack_row(r, code.q, code.ambient) for r in rows]
-                for rows in rows_list]
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                joint = len(_row_reduce(fieldobj, vecs[i] + vecs[j])[0])
-                dist = 2 * (joint - code.k)
-                if best is None or dist < best:
-                    best = dist
-                    witness = (i, j)
-                    if best == 0:
-                        return DistanceReport(0, witness, pairs, "exhaustive")
+    by_row = ((np.full(m - 1 - i, i), np.arange(i + 1, m))
+              for i in range(m - 1))
+    best, witness = _scan(code, by_row)
     return DistanceReport(best, witness, pairs, "exhaustive")
 
 
@@ -167,51 +134,36 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
             code, pair_budget=max(total_pairs, PAIR_BUDGET_DEFAULT))
 
     stream = lcg_stream(seed)
-    q2 = code.q == 2
-    fieldobj = field_of(code.q)
-
-    best = None
-    witness = None
-    checked = 0
-
-    def check(i: int, j: int):
-        nonlocal best, witness
-        ri, rj = code.member_rows(i), code.member_rows(j)
-        if q2:
-            dist = 2 * _binary_pair_count(ri, tuple(r & -r for r in ri), rj)
-        else:
-            dist = _pair_distance_general(ri, rj, fieldobj, code.ambient, code.k)
-        if best is None or dist < best:
-            best = dist
-            witness = (i, j)
-
+    pairs = array("q")
     drawn = 0
     while drawn < samples:
         i = next(stream) % m
         j = next(stream) % m
         if i == j:
             continue
-        check(min(i, j), max(i, j))
+        pairs.extend((min(i, j), max(i, j)))
         drawn += 1
-        checked += 1
 
+    extra = found = 0
     rounds = code.rounds
-    if rounds is not None and len(rounds):
+    if rounds is not None and len(rounds) and rounds.min() != rounds.max():
         extra = -(-samples // 10)
-        if rounds.min() != rounds.max():
-            found = 0
-            attempts = 0
-            while found < extra and attempts < 50 * extra:
-                attempts += 1
-                i = next(stream) % m
-                j = next(stream) % m
-                if i == j or int(rounds[i]) == int(rounds[j]):
-                    continue
-                check(min(i, j), max(i, j))
-                found += 1
-                checked += 1
-    return DistanceReport(best, witness, checked, "sampled",
-                          samples=samples, seed=seed)
+        attempts = 0
+        while found < extra and attempts < 50 * extra:
+            attempts += 1
+            i = next(stream) % m
+            j = next(stream) % m
+            if i == j or int(rounds[i]) == int(rounds[j]):
+                continue
+            pairs.extend((min(i, j), max(i, j)))
+            found += 1
+
+    ij = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    best, witness = _scan(code, (ij[lo:lo + RREF_CHUNK].T
+                                 for lo in range(0, len(ij), RREF_CHUNK)))
+    return DistanceReport(best, witness, len(ij), "sampled",
+                          samples=samples, seed=seed,
+                          topup_requested=extra, topup_found=found)
 
 
 @dataclass
@@ -275,6 +227,9 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
         report = min_distance_sampled(code, samples, seed)
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    if report.topup_found < report.topup_requested:
+        notes.append(f"stratified top-up found {report.topup_found} of "
+                     f"{report.topup_requested} cross-round pairs")
     if report.vacuous:
         notes.append("fewer than two members, distance vacuously fine")
     elif report.distance < claimed_distance:

@@ -2,11 +2,13 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from subspace_codes.codefile import CodeFileHeader, read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
 from subspace_codes.errors import CodeFileError
+from subspace_codes.fields import RREF_CHUNK
 
 
 def roundtrip(tmp_path, code, name="code.txt"):
@@ -160,7 +162,26 @@ def test_reader_rejects_noncanonical_rows(tmp_path):
     flipped = ("0" if orig[0] == "1" else "1") + orig[1:]
     lines[i] = flipped
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CodeFileError):
+    with pytest.raises(CodeFileError, match=r"member 1 rows"):
+        read_code(path)
+
+
+def test_reader_names_noncanonical_member_past_first_chunk(tmp_path):
+    """The canonical-form check runs over the whole body at once; the error
+    still names the first bad member, here one past the first chunk."""
+    base = assemble_parallel(2, 2, 2, 2, 1)
+    reps = -(-(RREF_CHUNK + 100) // len(base))
+    code = CDC(base.q, base.ambient, base.k, base.d,
+               np.tile(base.codes, (reps, 1)))
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    lines = path.read_text().splitlines()
+    bad = RREF_CHUNK + 50  # 0-based member index
+    i = lines.index("--") + 1 + bad
+    # swapping the two rows breaks the pivot order
+    lines[i] = "|".join(reversed(lines[i].split("|")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CodeFileError, match=rf"member {bad + 1} rows"):
         read_code(path)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from subspace_codes.errors import (
 )
 from subspace_codes.fields import (
     CONWAY_POLYS,
+    RREF_CHUNK,
     SUPPORTED_Q,
     Extension,
     extension_field,
@@ -29,6 +31,7 @@ from subspace_codes.fields import (
     packed_rank,
     packed_rref,
     rref_full_rank,
+    rref_rows,
     unpack_row,
     zero_matrix,
 )
@@ -365,6 +368,59 @@ def test_packed_rank_matches_matrix_rank(q):
             assert rref_packed == ()
         else:
             assert rref_lists == expect.to_lists()
+
+
+# the widest row of each q that still packs into 64 bits
+WIDTH_LIMIT = {2: 64, 3: 40, 4: 32, 5: 27, 7: 22, 8: 21, 9: 20}
+
+
+def assert_matches_scalar(stacks, q, width):
+    """rref_rows agrees with packed_rref and packed_rank stack by stack."""
+    f = field_of(q)
+    ranks, reduced = rref_rows(np.array(stacks, dtype=np.uint64), q, width)
+    assert ranks.shape == (len(stacks),)
+    assert reduced.shape == (len(stacks), len(stacks[0]))
+    for b, rows in enumerate(stacks):
+        ref = packed_rref(rows, f, width)
+        assert int(ranks[b]) == len(ref) == packed_rank(rows, f, width)
+        assert reduced[b].tolist() == list(ref) + [0] * (len(rows) - len(ref))
+
+
+@st.composite
+def row_stacks(draw):
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    width = draw(st.one_of(st.just(WIDTH_LIMIT[q]),
+                           st.integers(1, WIDTH_LIMIT[q])))
+    r = draw(st.integers(1, 9))
+    stacks = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for t in range(r):
+            kind = draw(st.sampled_from(("zero", "fresh", "repeat")))
+            if kind == "zero":
+                rows.append(0)
+            elif kind == "repeat" and t:
+                rows.append(rows[draw(st.integers(0, t - 1))])
+            else:
+                rows.append(draw(st.integers(0, q ** width - 1)))
+        stacks.append(rows)
+    return q, width, stacks
+
+
+@given(row_stacks())
+@settings(max_examples=300, deadline=None)
+def test_rref_rows_matches_scalar_kernels(case):
+    q, width, stacks = case
+    assert_matches_scalar(stacks, q, width)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rref_rows_across_chunk_seams(q):
+    # narrow rows, so the ranks vary and dependent stacks are common
+    width, r = 3, 4
+    rng = np.random.default_rng(q)
+    stacks = rng.integers(0, q ** width, size=(2 * RREF_CHUNK + 3, r)).tolist()
+    assert_matches_scalar(stacks, q, width)
 
 
 def test_rref_full_rank_guard():

@@ -3,6 +3,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from subspace_codes.construction import CDC, assemble_parallel, canonicalize, lift
@@ -242,3 +243,114 @@ def test_report_serializes_to_json():
     assert back["expected_size"] == "481"
     assert back["passed"] is True
     assert back["observed_distance"] == 2
+
+
+def scalar_exhaustive(code):
+    """The per-pair reference scan: every pair in (i, j) order."""
+    m = len(code)
+    best = witness = None
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            dist = subspace_distance(code.subspace(i), code.subspace(j))
+            if best is None or dist < best:
+                best, witness = dist, (i, j)
+                if best == 0:
+                    return best, witness, m * (m - 1) // 2
+    return best, witness, m * (m - 1) // 2
+
+
+def scalar_sampled(code, samples, seed):
+    """The per-pair reference scan over the documented draw order.
+
+    ``samples`` pairs off the LCG, redrawn when i == j, then, with more than
+    one round populated, ceil(samples / 10) cross-round pairs within
+    50 times as many attempts.
+    """
+    m = len(code)
+    stream = lcg_stream(seed)
+    best = witness = None
+    checked = 0
+
+    def check(i, j):
+        nonlocal best, witness, checked
+        i, j = min(i, j), max(i, j)
+        dist = subspace_distance(code.subspace(i), code.subspace(j))
+        if best is None or dist < best:
+            best, witness = dist, (i, j)
+        checked += 1
+
+    drawn = 0
+    while drawn < samples:
+        i, j = next(stream) % m, next(stream) % m
+        if i != j:
+            check(i, j)
+            drawn += 1
+    rounds = code.rounds
+    if rounds is not None and len(set(rounds.tolist())) > 1:
+        extra = -(-samples // 10)
+        found = attempts = 0
+        while found < extra and attempts < 50 * extra:
+            attempts += 1
+            i, j = next(stream) % m, next(stream) % m
+            if i != j and rounds[i] != rounds[j]:
+                check(i, j)
+                found += 1
+    return best, witness, checked
+
+
+def with_duplicate(code, src):
+    """The code plus a copy of member src appended as the last member."""
+    codes = np.concatenate([code.codes, code.codes[src:src + 1]])
+    rounds = np.concatenate([code.rounds, code.rounds[src:src + 1]])
+    return CDC(code.q, code.ambient, code.k, code.d, codes, rounds)
+
+
+def as_tuple(report):
+    return report.distance, report.witness, report.pairs_checked
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2, 2, 1), (3, 2, 2, 2, 0),
+                                    (4, 2, 2, 2, 0)])
+def test_exhaustive_matches_scalar_scan(params):
+    code = assemble_parallel(*params)
+    assert as_tuple(min_distance_exhaustive(code)) == scalar_exhaustive(code)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2, 2, 1), (3, 2, 2, 2, 0),
+                                    (4, 2, 2, 2, 0)])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_sampled_matches_scalar_scan(params, seed):
+    code = assemble_parallel(*params)
+    got = min_distance_sampled(code, 400, seed=seed)
+    assert as_tuple(got) == scalar_sampled(code, 400, seed)
+
+
+def test_duplicate_member_is_found_first():
+    code = with_duplicate(assemble_parallel(2, 2, 2, 2, 1), 3)
+    report = min_distance_exhaustive(code)
+    # (3, 481) is the only zero-distance pair and the scan stops on it
+    assert as_tuple(report) == scalar_exhaustive(code)
+    assert report.distance == 0 and report.witness == (3, 481)
+    for seed in range(3):
+        got = min_distance_sampled(code, 3000, seed=seed)
+        assert as_tuple(got) == scalar_sampled(code, 3000, seed)
+
+
+def test_topup_shortfall_is_reported():
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    # one member in round 1: few draws can land on a cross-round pair
+    lone = CDC(code.q, code.ambient, code.k, code.d, code.codes,
+               [0] * (len(code) - 1) + [1])
+    report = min_distance_sampled(lone, 500, seed=42)
+    assert report.topup_requested == 50
+    assert report.topup_found < 50
+    assert report.pairs_checked == 500 + report.topup_found
+    assert as_tuple(report) == scalar_sampled(lone, 500, 42)
+    rec = reconcile(lone, 481, 2, mode="sampled", samples=500, seed=42)
+    assert (f"stratified top-up found {report.topup_found} of 50 "
+            f"cross-round pairs") in rec.notes
+    # a filled top-up adds no note
+    full = min_distance_sampled(code, 500, seed=42)
+    assert full.topup_found == full.topup_requested == 50
+    assert reconcile(code, 481, 2, mode="sampled", samples=500,
+                     seed=42).notes == []
