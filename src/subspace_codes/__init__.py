@@ -12,13 +12,12 @@ from .bounds import (
     block_cardinalities,
     johnson_anticode_upper,
     johnson_iterated_upper,
-    lifted_mrd_size,
     load_reference_rows,
     parallel_lower_bound,
     reproduce_reference_table,
     two_block_lower_bound,
 )
-from .codefile import CodeFileHeader, read_code, write_code
+from .codefile import read_code, write_code
 from .construction import CDC, Subspace, assemble_parallel, canonicalize, lift
 from .counting import (
     RankDistribution,

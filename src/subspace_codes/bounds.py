@@ -81,21 +81,6 @@ class BoundResult:
     kind: str
 
 
-def lifted_mrd_size(q: int, n: int, k: int, delta: int) -> int:
-    """Cardinality of a lifted maximum rank distance code.
-
-    The underlying code consists of k x n matrices over GF(q) with minimum
-    rank distance delta; lifting prepends an identity block, preserving the
-    count.  Requires 1 <= delta <= k <= n.
-    """
-    if not 1 <= delta <= k <= n:
-        raise InvalidParameterError(
-            f"need 1 <= delta <= k <= n, got delta={delta}, k={k}, n={n}")
-    if q < 2:
-        raise InvalidParameterError(f"field order must be >= 2, got {q}")
-    return q ** (n * (k - delta + 1))
-
-
 def _residual_count(q: int, m: int, k: int, d: int) -> int:
     # codewords of a k x m maximum rank distance code, minimum rank d/2,
     # whose rank stays low enough to survive one more lifting round

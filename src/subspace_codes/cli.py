@@ -130,13 +130,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    hdr, code = read_code(args.infile)
+    code = read_code(args.infile)
     if code.params is not None:
         expected = parallel_lower_bound(code.params.q, code.params.n,
                                         code.params.k, code.params.d,
                                         code.params.s).value
     else:
-        expected = hdr.members
+        expected = len(code)
     report = reconcile(code, expected, args.d, mode=args.mode,
                        samples=args.samples, seed=args.seed)
     print(f"expected size     {report.expected_size}")

@@ -33,29 +33,16 @@ verification rather than being repaired here.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import CdcParams, block_cardinalities
 from .construction import CDC
 from .errors import CodeFileError, InvalidParameterError
-from .fields import rref_rows
+from .fields import SUPPORTED_Q, rref_rows
 
 MAGIC = "subspace-code"
 VERSION = 1
-
-
-@dataclass(frozen=True)
-class CodeFileHeader:
-    version: int
-    q: int
-    ambient: int
-    k: int
-    d: int
-    members: int
-    construction: CdcParams | None
-
 
 WRITE_CHUNK = 1 << 11  # members formatted per numpy pass
 
@@ -106,15 +93,15 @@ def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
         raise CodeFileError(f"inconsistent construction header: {exc}") from None
 
 
-def read_code(path):
-    """Parse a code file; returns (CodeFileHeader, CDC).
+def read_code(path) -> CDC:
+    """Parse a code file into the CDC it stores.
 
-    Structural problems (bad magic, missing keys, wrong row shapes, digits
-    outside the field, rows wider than the uint64 row limit, declared member
-    count not matching the body) raise CodeFileError.  Mathematical problems
-    (duplicates, wrong distance) are the verifier's business and pass
-    through silently here.  The body is streamed line by line into a flat
-    buffer of packed rows.
+    Structural problems (bad magic, missing keys, an unsupported field
+    order, wrong row shapes, digits outside the field, rows wider than the
+    uint64 row limit, declared member count not matching the body) raise
+    CodeFileError.  Mathematical problems (duplicates, wrong distance) are
+    the verifier's business and pass through silently here.  The body is
+    streamed line by line into a flat buffer of packed rows.
     """
     # the format is ASCII; any other byte decodes to U+FFFD and then fails
     # the same checks as any other stray character
@@ -159,11 +146,12 @@ def read_code(path):
             raise CodeFileError(f"missing header key {exc.args[0]!r}") from None
         except ValueError:
             raise CodeFileError("non-integer header value") from None
-        if q < 2 or ambient < 1 or not 1 <= k <= ambient or members < 0:
+        if q not in SUPPORTED_Q:
             raise CodeFileError(
-                f"implausible header: q={q} ambient={ambient} k={k} members={members}")
-        if q > 9:
-            raise CodeFileError(f"single-digit storage cannot hold q={q}")
+                f"field order q={q} not supported; choose one of {SUPPORTED_Q}")
+        if ambient < 1 or not 1 <= k <= ambient or members < 0:
+            raise CodeFileError(
+                f"implausible header: ambient={ambient} k={k} members={members}")
         try:
             # an empty code checks the row width before the body is read
             CDC(q, ambient, k, d, ())
@@ -215,5 +203,4 @@ def read_code(path):
         sizes = block_cardinalities(q, construction.n, k, d, construction.s)
         if sum(sizes) == count:
             rounds = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
-    hdr = CodeFileHeader(version, q, ambient, k, d, members, construction)
-    return hdr, CDC(q, ambient, k, d, codes, rounds, construction)
+    return CDC(q, ambient, k, d, codes, rounds, construction)

@@ -28,17 +28,9 @@ from .errors import (
     BudgetExceededError,
     InternalConsistencyError,
     InvalidParameterError,
+    RankDeficiencyError,
 )
-from .fields import (
-    MatrixGF,
-    field_of,
-    matrix,
-    pack_row,
-    packed_rref,
-    rref_full_rank,
-    rref_rows,
-    unpack_row,
-)
+from .fields import MatrixGF, pack_row, packed_rref, rref_rows
 from .gabidulin import (
     BUDGET_ENV_VAR,
     checked_sq_filter,
@@ -65,16 +57,15 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def generator(self) -> MatrixGF:
-        f = field_of(self.q)
-        return matrix(f, [unpack_row(r, self.q, self.ambient) for r in self.rows])
-
 
 def canonicalize(gen: MatrixGF) -> Subspace:
     """Subspace spanned by the rows of ``gen``; rows must be independent."""
     q = gen.field.q
     packed = [pack_row(gen.row_list(r), q) for r in range(gen.rows)]
-    rows = rref_full_rank(packed, gen.field, gen.cols, gen.rows)
+    rows = packed_rref(packed, gen.field, gen.cols)
+    if len(rows) != gen.rows:
+        raise RankDeficiencyError(
+            f"rows span {len(rows)} dimensions, expected {gen.rows}")
     return Subspace(q, gen.cols, rows)
 
 
@@ -119,7 +110,9 @@ class CDC:
     params: CdcParams | None = None
 
     def __post_init__(self):
-        if self.q ** self.ambient > ROW_LIMIT:
+        # q >= 2, so a row past 64 columns never fits; testing that first
+        # keeps q**ambient small
+        if self.ambient > 64 or self.q ** self.ambient > ROW_LIMIT:
             raise InvalidParameterError(
                 f"rows of GF({self.q})^{self.ambient} do not fit the uint64 "
                 f"row limit: q**ambient must be at most 2**64")
@@ -167,6 +160,9 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     ambient = params.ambient
     delta = d // 2
 
+    # an empty code checks the row width before the round sizes, which grow
+    # as q**n
+    code = CDC(q, ambient, k, d, (), params=params)
     per_round = block_cardinalities(q, n, k, d, s)
     total = sum(per_round)
     allowed = resolve_enum_budget(budget)
@@ -175,10 +171,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
             f"construction has {total} members, over the budget of {allowed}; "
             f"pass a larger budget or set {BUDGET_ENV_VAR}")
 
-    # allocating through CDC checks the row width before any enumeration
-    code = CDC(q, ambient, k, d, np.empty((total, k), dtype=np.uint64),
-               params=params)
-    codes = code.codes
+    codes = code.codes = np.empty((total, k), dtype=np.uint64)
     full_kk = gabidulin_enumerate(q, k, k, delta, budget=allowed) if s else None
     sq_kk = checked_sq_filter(full_kk, k - delta) if s else None
     full_nk = gabidulin_enumerate(q, n, k, delta, budget=allowed)

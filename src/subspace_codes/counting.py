@@ -69,9 +69,6 @@ class RankDistribution:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def nonzero_ranks(self):
-        return sorted(r for r, c in self.counts.items() if r > 0 and c > 0)
-
 
 def delsarte_rank_distribution(q: int, m: int, nmin: int, d: int) -> RankDistribution:
     """Rank distribution of a linear maximum rank distance code.

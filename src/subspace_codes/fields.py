@@ -28,7 +28,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidElementError,
     InvalidParameterError,
-    RankDeficiencyError,
 )
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -181,9 +180,6 @@ class Field:
             return 0
         return self._exp[(self._log[a] * (n % (self.q - 1))) % (self.q - 1)]
 
-    def elements(self):
-        return range(self.q)
-
     def __eq__(self, other):
         return (isinstance(other, Field)
                 and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
@@ -253,18 +249,14 @@ class Extension:
         self.ext = _field(base.p, base.e * m)
         ext = self.ext
 
-        # Canonical subfield generator: with compatible moduli the norm-like
-        # power of the extension generator is a root of the base modulus.
-        # Fall back to a deterministic scan so an exotic modulus table still
-        # yields a correct (if different) embedding.
+        # Canonical subfield generator: with compatible (Conway) moduli the
+        # norm-like power of the extension generator is a root of the base
+        # modulus.
         cand = ext._exp[((ext.q - 1) // (base.q - 1)) % (ext.q - 1)]
         if self._eval_base_modulus(cand) != 0:
-            cand = next((x for x in range(ext.q)
-                         if self._eval_base_modulus(x) == 0), None)
-            if cand is None:
-                raise InternalConsistencyError(
-                    f"no root of the GF({base.q}) modulus inside GF({ext.q})")
-        self.subfield_generator = cand
+            raise InternalConsistencyError(
+                f"norm power of the GF({ext.q}) generator is not a root of "
+                f"the GF({base.q}) modulus")
 
         powers = [1]
         for _ in range(base.e - 1):
@@ -291,11 +283,14 @@ class Extension:
             for t in range(base.e):
                 # index p**t is the t-th power-basis element of the subfield
                 cols.append(ext.digits(ext.mul(self._emb[base.p ** t], self.basis[j])))
-        mat = [[cols[c][r] for c in range(n)] for r in range(n)]
-        inv = _invert_mod_p(mat, base.p)
-        if inv is None:
+        # reducing [M | I] over GF(p), M the change matrix, leaves
+        # [I | M^-1] exactly when every pivot lies in M's columns
+        aug = [[cols[c][r] for c in range(n)] + [int(r == c) for c in range(n)]
+               for r in range(n)]
+        reduced, pivots = _row_reduce(_field(base.p, 1), aug)
+        if pivots != list(range(n)):
             raise InternalConsistencyError("power basis change matrix is singular")
-        self._inv_rows = tuple(tuple(r) for r in inv)
+        self._inv_rows = tuple(tuple(r[n:]) for r in reduced)
         self._expand_cache = [None] * ext.q
 
     def _eval_base_modulus(self, x: int) -> int:
@@ -326,26 +321,6 @@ class Extension:
 
     def __repr__(self):
         return f"GF({self.base.q}^{self.m})"
-
-
-def _invert_mod_p(mat, p):
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
 
 
 @lru_cache(maxsize=None)
@@ -408,15 +383,6 @@ def matrix(field: Field, rows) -> MatrixGF:
     return MatrixGF(field, len(rows), ncols, tuple(flat))
 
 
-def identity_matrix(field: Field, n: int) -> MatrixGF:
-    return MatrixGF(field, n, n,
-                    tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-
-def zero_matrix(field: Field, rows: int, cols: int) -> MatrixGF:
-    return MatrixGF(field, rows, cols, (0,) * (rows * cols))
-
-
 def _same_shape(a: MatrixGF, b: MatrixGF):
     if a.field != b.field:
         raise IncompatibleFieldError("matrices over different fields")
@@ -429,29 +395,6 @@ def mat_sub(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     f = a.field
     return MatrixGF(f, a.rows, a.cols,
                     tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
-
-
-def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    if a.field != b.field:
-        raise IncompatibleFieldError("matrices over different fields")
-    if a.cols != b.rows:
-        raise InvalidParameterError("inner dimensions differ")
-    f = a.field
-    out = []
-    for i in range(a.rows):
-        arow = a.entries[i * a.cols:(i + 1) * a.cols]
-        for j in range(b.cols):
-            acc = 0
-            for t, x in enumerate(arow):
-                if x:
-                    acc = f.add(acc, f.mul(x, b.entry(t, j)))
-            out.append(acc)
-    return MatrixGF(f, a.rows, b.cols, tuple(out))
-
-
-def mat_transpose(a: MatrixGF) -> MatrixGF:
-    return MatrixGF(a.field, a.cols, a.rows,
-                    tuple(a.entry(r, c) for c in range(a.cols) for r in range(a.rows)))
 
 
 def _row_reduce(field: Field, rows):
@@ -493,7 +436,7 @@ def mat_rref(a: MatrixGF) -> MatrixGF:
     """
     reduced, _ = _row_reduce(a.field, a.to_lists())
     if not reduced:
-        return zero_matrix(a.field, 1, a.cols)
+        return MatrixGF(a.field, 1, a.cols, (0,) * a.cols)
     return MatrixGF(a.field, len(reduced), a.cols,
                     tuple(v for row in reduced for v in row))
 
@@ -565,14 +508,6 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
         return ()
     reduced, _ = _row_reduce(field, unpacked)
     return tuple(pack_row(r, field.q) for r in reduced)
-
-
-def rref_full_rank(rows, field: Field, width: int, expected: int) -> tuple:
-    reduced = packed_rref(rows, field, width)
-    if len(reduced) != expected:
-        raise RankDeficiencyError(
-            f"rows span {len(reduced)} dimensions, expected {expected}")
-    return reduced
 
 
 # ---------------------------------------------------------------------------

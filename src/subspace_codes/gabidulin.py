@@ -59,13 +59,12 @@ class RankCode:
 
     ``codewords`` is a C-contiguous (W, k) np.uint64 array: row r of word w
     is ``codewords[w, r]``, packed as sum(entry_c * q**c) like the rows of a
-    CDC.  ``full`` distinguishes a complete evaluation code from a filtered
-    subset; spec.cardinality always refers to the complete code.
+    CDC.  ``spec.cardinality`` is the size of the complete evaluation code,
+    also for a filtered subset.
     """
 
     spec: RankCodeSpec
     codewords: np.ndarray
-    full: bool = True
 
     def __len__(self):
         return len(self.codewords)
@@ -121,21 +120,20 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
     return RankCode(RankCodeSpec(q, n, k, delta, cardinality), words)
 
 
-def sq_filter(code: RankCode, max_rank: int, include_zero: bool = False) -> RankCode:
-    """Keep the codewords of rank at most max_rank.
+def sq_filter(code: RankCode, max_rank: int) -> RankCode:
+    """Keep the nonzero codewords of rank at most max_rank.
 
-    The zero word is dropped unless include_zero is set; order is preserved.
-    For a full code the size of the result equals the truncated rank sum of
-    its distribution, which the caller can cross-check exactly.
+    Order is preserved.  For a full code the size of the result equals the
+    truncated rank sum of its distribution, which the caller can
+    cross-check exactly.
     """
     k = code.spec.k
     if not 0 <= max_rank <= k:
         raise InvalidParameterError(
             f"max_rank must lie in [0, {k}], got {max_rank}")
-    low = 0 if include_zero else 1
     ranks, _ = rref_rows(code.codewords, code.spec.q, code.spec.n)
-    keep = (ranks >= low) & (ranks <= max_rank)
-    return RankCode(code.spec, code.codewords[keep], full=False)
+    keep = (ranks > 0) & (ranks <= max_rank)
+    return RankCode(code.spec, code.codewords[keep])
 
 
 def empirical_rank_distribution(code: RankCode) -> dict:
@@ -145,21 +143,20 @@ def empirical_rank_distribution(code: RankCode) -> dict:
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 
 
-def expected_low_rank_count(spec: RankCodeSpec, max_rank: int,
-                            include_zero: bool = False) -> int:
+def expected_low_rank_count(spec: RankCodeSpec, max_rank: int) -> int:
     """What sq_filter must return for a full code of this shape."""
-    count = truncated_rank_sum(spec.q, spec.n, spec.k, spec.delta,
-                               spec.delta, max_rank)
-    return count + (1 if include_zero else 0)
+    return truncated_rank_sum(spec.q, spec.n, spec.k, spec.delta,
+                              spec.delta, max_rank)
 
 
-def checked_sq_filter(code: RankCode, max_rank: int,
-                      include_zero: bool = False) -> RankCode:
+def checked_sq_filter(code: RankCode, max_rank: int) -> RankCode:
     """sq_filter plus an exact size check against the rank distribution."""
-    if not code.full:
-        raise InvalidParameterError("size check needs the full evaluation code")
-    out = sq_filter(code, max_rank, include_zero)
-    want = expected_low_rank_count(code.spec, max_rank, include_zero)
+    if len(code) != code.spec.cardinality:
+        raise InvalidParameterError(
+            f"size check needs the full evaluation code of "
+            f"{code.spec.cardinality} words, got {len(code)}")
+    out = sq_filter(code, max_rank)
+    want = expected_low_rank_count(code.spec, max_rank)
     if len(out) != want:
         raise InternalConsistencyError(
             f"rank filter kept {len(out)} codewords, distribution says {want}")

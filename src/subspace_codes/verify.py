@@ -107,7 +107,7 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
             f"{pairs} pairs exceed the pair budget of {budget}; "
             f"use sampled verification instead")
 
-    by_row = ((np.full(m - 1 - i, i), np.arange(i + 1, m))
+    by_row = ((np.repeat(i, m - 1 - i), np.arange(i + 1, m))
               for i in range(m - 1))
     best, witness = _scan(code, by_row)
     return DistanceReport(best, witness, pairs, "exhaustive")
@@ -203,7 +203,7 @@ class VerificationReport:
 
 def reconcile(code: CDC, expected_size: int, claimed_distance: int,
               mode: str = "exhaustive", samples: int = 10 ** 6,
-              seed: int = 0, pair_budget: int | None = None) -> VerificationReport:
+              seed: int = 0) -> VerificationReport:
     """Measure a code and compare against its claimed parameters.
 
     Passes when the members are pairwise distinct, their number equals
@@ -222,7 +222,7 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
         notes.append(f"distinct size {distinct} != expected {expected_size}")
 
     if mode == "exhaustive":
-        report = min_distance_exhaustive(code, pair_budget=pair_budget)
+        report = min_distance_exhaustive(code)
     elif mode == "sampled":
         report = min_distance_sampled(code, samples, seed)
     else:

@@ -10,7 +10,6 @@ from subspace_codes.bounds import (
     block_cardinalities,
     johnson_anticode_upper,
     johnson_iterated_upper,
-    lifted_mrd_size,
     load_reference_rows,
     parallel_lower_bound,
     reproduce_reference_table,
@@ -18,18 +17,6 @@ from subspace_codes.bounds import (
 )
 from subspace_codes.counting import gaussian_binomial
 from subspace_codes.errors import InvalidParameterError
-
-
-def test_lifted_mrd_size():
-    assert lifted_mrd_size(2, 4, 4, 2) == 4096
-    assert lifted_mrd_size(2, 4, 4, 4) == 16
-    assert lifted_mrd_size(3, 5, 3, 2) == 3 ** 10
-    with pytest.raises(InvalidParameterError):
-        lifted_mrd_size(2, 3, 4, 2)  # k > n
-    with pytest.raises(InvalidParameterError):
-        lifted_mrd_size(2, 4, 4, 0)
-    with pytest.raises(InvalidParameterError):
-        lifted_mrd_size(1, 4, 4, 2)
 
 
 def test_two_block_anchors():
@@ -60,13 +47,14 @@ def test_parallel_at_zero_rounds_is_two_block():
 
 def test_two_block_beats_plain_lifting():
     # the rank-limited tail is nonempty whenever k >= d, so the two-block
-    # count must exceed the single lifted code it extends
+    # count must exceed the single lifted code of q^(n (k - d/2 + 1)) words
+    # it extends
     for q in (2, 3):
         for d in (2, 4):
             for n in range(d, 7):
                 for k in range(d, n + 1):
                     assert (two_block_lower_bound(q, n, k, d).value
-                            > lifted_mrd_size(q, n, k, d // 2))
+                            > q ** (n * (k - d // 2 + 1)))
 
 
 def test_parallel_grows_with_rounds():

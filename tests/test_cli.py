@@ -211,11 +211,23 @@ def test_verify_rejects_malformed_files(capsys, tmp_path):
                      "--d", "2")
     assert rc == 2
 
+    # an empty code over an unsupported order is a bad file, not a PASS
+    empty = tmp_path / "empty6.txt"
+    empty.write_text("subspace-code v1\nq=6\nambient=4\nk=2\nd=2\n"
+                     "members=0\n--\n")
+    rc, out, err = run(capsys, "verify", "--in", str(empty), "--d", "2")
+    assert rc == 2 and "q=6" in err and "PASS" not in out
+
 
 def test_construct_rejects_bad_parameters(capsys, tmp_path):
     rc, _, err = run(capsys, "construct", "--q", "2", "--n", "1", "--k", "2",
                      "--d", "2", "--s", "0", "--out", str(tmp_path / "x.txt"))
     assert rc == 2 and "error:" in err
+    # the row width is checked before any count that grows with n
+    rc, _, err = run(capsys, "construct", "--q", "2", "--n", str(10 ** 12),
+                     "--k", "2", "--d", "2", "--s", "0",
+                     "--out", str(tmp_path / "x.txt"))
+    assert rc == 2 and "uint64 row limit" in err
 
 
 def test_construct_respects_budget_env(capsys, tmp_path, monkeypatch):

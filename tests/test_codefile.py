@@ -5,10 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from subspace_codes.codefile import CodeFileHeader, read_code, write_code
+from subspace_codes.codefile import read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
 from subspace_codes.errors import CodeFileError
-from subspace_codes.fields import RREF_CHUNK
+from subspace_codes.fields import RREF_CHUNK, unpack_row
 
 
 def roundtrip(tmp_path, code, name="code.txt"):
@@ -19,20 +19,19 @@ def roundtrip(tmp_path, code, name="code.txt"):
 
 def test_roundtrip_binary(tmp_path):
     code = assemble_parallel(2, 2, 2, 2, 1)
-    header, back = roundtrip(tmp_path, code)
-    assert isinstance(header, CodeFileHeader)
-    assert (header.q, header.ambient, header.k, header.d) == (2, 6, 2, 2)
-    assert header.members == 481
-    assert header.construction is not None
-    assert header.construction.n == 2 and header.construction.s == 1
+    back = roundtrip(tmp_path, code)
+    assert isinstance(back, CDC)
+    assert (back.q, back.ambient, back.k, back.d) == (2, 6, 2, 2)
+    assert len(back) == 481
+    assert back.params == code.params
     assert back.codes.tolist() == code.codes.tolist()
     assert list(map(int, back.rounds)) == list(map(int, code.rounds))
 
 
 def test_roundtrip_nonbinary(tmp_path):
     code = assemble_parallel(3, 2, 2, 2, 0)
-    header, back = roundtrip(tmp_path, code)
-    assert header.q == 3 and header.members == 113
+    back = roundtrip(tmp_path, code)
+    assert back.q == 3 and len(back) == 113
     assert back.codes.tolist() == code.codes.tolist()
 
 
@@ -45,6 +44,12 @@ def test_roundtrip_nonbinary(tmp_path):
      "62fe30e4b24a0610ce611fb31733d7e5ad31d1e8c7209d172b6fd2515b95ebd9"),
     ((9, 2, 2, 2, 0),
      "a61e0b6b2433c2a94d4719490b4cbe91ef568e3f820a5d01393fa3954d67c670"),
+    ((5, 2, 2, 2, 0),
+     "24422ea4ac6050bc0c85712a6a466c9a3652822e57935f6d43254d8af1f8fc4a"),
+    ((7, 2, 2, 2, 0),
+     "be675ccea2a09473333347f8f6cdbaea729d4efe7ea269b37d92eeadc7089714"),
+    ((8, 2, 2, 2, 0),
+     "5b01e104761c993b0b6695eab257a75f2f3d34917310095b4c3aefa538f4a731"),
 ])
 def test_written_file_is_byte_identical_to_golden(tmp_path, params, sha256):
     path = tmp_path / "code.txt"
@@ -61,7 +66,7 @@ def test_file_is_line_oriented_ascii(tmp_path):
     assert "--" in lines
     body = lines[lines.index("--") + 1:]
     assert len(body) == 25
-    first = code.subspace(0).generator().to_lists()
+    first = [unpack_row(r, 2, code.ambient) for r in code.member_rows(0)]
     groups = body[0].split("|")
     assert len(groups) == 2
     # column 0 is the leftmost character of each group
@@ -76,9 +81,7 @@ def test_comments_before_separator_are_ignored(tmp_path):
     lines = path.read_text().splitlines()
     lines.insert(1, "# produced for a test")
     path.write_text("\n".join(lines) + "\n")
-    header, back = read_code(path)
-    assert header.members == 25
-    assert len(back) == 25
+    assert len(read_code(path)) == 25
 
 
 def corrupt(tmp_path, mutate, name="c.txt"):
@@ -102,11 +105,20 @@ def test_reader_rejects_bad_magic(tmp_path):
 
 
 def test_reader_rejects_header_damage(tmp_path):
+    def empty_over_q6(ls):
+        ls[1] = "q=6"
+        ls[5] = "members=0"
+        del ls[ls.index("--") + 1:]
+
     cases = [
         lambda ls: ls.__setitem__(1, "q=banana"),
         lambda ls: ls.__setitem__(1, "qq 2"),
         lambda ls: ls.insert(2, "q=2"),          # duplicate key
         lambda ls: ls.__setitem__(1, "q=23"),    # past any supported order
+        lambda ls: ls.__setitem__(1, "q=1"),
+        lambda ls: ls.__setitem__(1, "q=6"),     # binary digits, no GF(6)
+        empty_over_q6,                           # no member to trip over
+        lambda ls: ls.__setitem__(1, "q=10"),
         lambda ls: ls.remove("k=2"),             # missing key
         lambda ls: ls.__setitem__(5, "members=26"),  # declared != body
     ]
@@ -200,7 +212,7 @@ def test_reader_accepts_in_format_tampering(tmp_path):
     body[idx] = "1" if body[idx] == "0" else "0"
     lines[i] = "".join(body)
     path.write_text("\n".join(lines) + "\n")
-    _, back = read_code(path)
+    back = read_code(path)
     assert back.member_rows(0) != code.member_rows(0)
     assert len(back) == len(code)
 
@@ -217,18 +229,20 @@ def test_rounds_reconstructed_only_when_sizes_agree(tmp_path):
         if l.startswith("members="):
             lines[n] = "members=480"
     path.write_text("\n".join(lines) + "\n")
-    header, back = read_code(path)
-    assert header.members == 480
+    back = read_code(path)
+    assert len(back) == 480
     assert back.rounds is None
 
 
 def test_reader_rejects_rows_past_uint64_before_body(tmp_path):
     path = tmp_path / "wide.txt"
-    # the body line is malformed too; the width check must fire first
-    path.write_text("subspace-code v1\nq=2\nambient=65\nk=1\nd=2\n"
-                    "members=1\n--\nnot a row\n")
-    with pytest.raises(CodeFileError, match=r"2\*\*64"):
-        read_code(path)
+    # the body line is malformed too; the width check must fire first, and
+    # without computing q**ambient for a huge ambient
+    for ambient in (65, 10 ** 12):
+        path.write_text(f"subspace-code v1\nq=2\nambient={ambient}\nk=1\n"
+                        f"d=2\nmembers=1\n--\nnot a row\n")
+        with pytest.raises(CodeFileError, match=r"2\*\*64"):
+            read_code(path)
 
 
 def test_reader_rejects_non_ascii_bytes(tmp_path):

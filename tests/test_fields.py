@@ -10,7 +10,6 @@ from subspace_codes.errors import (
     IncompatibleFieldError,
     InvalidElementError,
     InvalidParameterError,
-    RankDeficiencyError,
 )
 from subspace_codes.fields import (
     CONWAY_POLYS,
@@ -19,22 +18,21 @@ from subspace_codes.fields import (
     Extension,
     extension_field,
     field_of,
-    identity_matrix,
     linearized_eval,
-    mat_mul,
     mat_rank,
     mat_rref,
     mat_sub,
-    mat_transpose,
     matrix,
     pack_row,
     packed_rank,
     packed_rref,
-    rref_full_rank,
     rref_rows,
     unpack_row,
-    zero_matrix,
 )
+
+# every (q, m) whose GF(q^m) has a modulus on record
+EXTENSIONS = [(q, m) for q in SUPPORTED_Q for m in range(1, 9)
+              if (field_of(q).p, field_of(q).e * m) in CONWAY_POLYS]
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -59,7 +57,6 @@ def test_supported_orders_construct():
     for q in SUPPORTED_Q:
         f = field_of(q)
         assert f.q == q
-        assert len(list(f.elements())) == q
         # cached constructor returns the same object
         assert field_of(q) is f
 
@@ -77,7 +74,7 @@ def test_field_axioms_exhaustive(q):
     Full q^3 sweep; the largest supported base order keeps this cheap.
     """
     f = field_of(q)
-    els = list(f.elements())
+    els = range(q)
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -167,7 +164,8 @@ def test_gf16_arithmetic_vs_polynomial_oracle():
 
 
 def test_embedding_is_injective_homomorphism():
-    for q, m in [(2, 3), (3, 2), (4, 2), (5, 2)]:
+    assert len(EXTENSIONS) == 30
+    for q, m in EXTENSIONS:
         ext = extension_field(q, m)
         base = ext.base
         images = [ext.embed(a) for a in range(q)]
@@ -195,7 +193,7 @@ def test_frobenius_fixes_embedded_subfield():
 
 def test_expand_combine_roundtrip():
     """expand is a bijection from GF(q^m) onto GF(q)^m."""
-    for q, m in [(2, 3), (3, 2), (4, 2), (9, 2)]:
+    for q, m in EXTENSIONS:
         ext = extension_field(q, m)
         images = {ext.expand(x) for x in range(ext.ext.q)}
         assert len(images) == q ** m
@@ -259,8 +257,9 @@ def test_matrix_constructor_validation():
 
 def test_rank_examples():
     f = field_of(2)
-    assert mat_rank(zero_matrix(f, 3, 4)) == 0
-    assert mat_rank(identity_matrix(f, 4)) == 4
+    assert mat_rank(matrix(f, [[0] * 4] * 3)) == 0
+    assert mat_rank(matrix(f, [[int(i == j) for j in range(4)]
+                               for i in range(4)])) == 4
     assert mat_rank(matrix(f, [[1, 1], [1, 1]])) == 1
     f3 = field_of(3)
     assert mat_rank(matrix(f3, [[1, 2], [2, 2]])) == 2
@@ -303,7 +302,7 @@ def test_rank_invariant_under_transpose(q, data):
     entries = data.draw(st.lists(st.integers(0, q - 1),
                                  min_size=rows * cols, max_size=rows * cols))
     m = matrix(f, [entries[r * cols:(r + 1) * cols] for r in range(rows)])
-    assert mat_rank(m) == mat_rank(mat_transpose(m))
+    assert mat_rank(m) == mat_rank(matrix(f, zip(*m.to_lists())))
 
 
 def test_rref_idempotent_and_canonical():
@@ -331,7 +330,7 @@ def test_rref_strips_zero_rows():
     r = mat_rref(matrix(f, [[0, 0], [1, 2], [2, 4 % 3]]))
     assert r.rows == 1
     assert r.row_list(0) == [1, 2]
-    z = mat_rref(zero_matrix(f, 2, 3))
+    z = mat_rref(matrix(f, [[0, 0, 0], [0, 0, 0]]))
     assert z.rows == 1 and z.row_list(0) == [0, 0, 0]
 
 
@@ -423,20 +422,9 @@ def test_rref_rows_across_chunk_seams(q):
     assert_matches_scalar(stacks, q, width)
 
 
-def test_rref_full_rank_guard():
-    f = field_of(2)
-    rows = [pack_row([1, 0, 1], 2), pack_row([1, 0, 1], 2)]
-    with pytest.raises(RankDeficiencyError):
-        rref_full_rank(rows, f, 3, expected=2)
-    ok = rref_full_rank([0b01, 0b10], f, 2, expected=2)
-    assert ok == (0b01, 0b10)
-
-
-def test_mat_mul_and_sub():
+def test_mat_sub():
     f = field_of(3)
     a = matrix(f, [[1, 2], [0, 1]])
     b = matrix(f, [[2, 0], [1, 1]])
-    assert mat_mul(a, b).to_lists() == [[(1 * 2 + 2 * 1) % 3, 2], [1, 1]]
+    assert mat_sub(a, b).to_lists() == [[2, 2], [2, 0]]
     assert mat_sub(a, a).to_lists() == [[0, 0], [0, 0]]
-    ident = identity_matrix(f, 2)
-    assert mat_mul(a, ident) == a

@@ -194,18 +194,12 @@ def test_sq_filter_counts():
         for max_rank in range(delta, k + 1):
             kept = sq_filter(code, max_rank)
             assert len(kept) == expected_low_rank_count(code.spec, max_rank)
-            assert not kept.full
             assert all(0 < r <= max_rank for r in ranks(kept))
-        with_zero = sq_filter(code, delta, include_zero=True)
-        assert len(with_zero) == expected_low_rank_count(code.spec, delta,
-                                                         include_zero=True)
-        assert len(with_zero) == len(sq_filter(code, delta)) + 1
 
 
 def test_sq_filter_edges():
     code = gabidulin_enumerate(2, 3, 3, 2)
     assert len(sq_filter(code, 0)) == 0
-    assert len(sq_filter(code, 0, include_zero=True)) == 1
     with pytest.raises(InvalidParameterError):
         sq_filter(code, 4)
     with pytest.raises(InvalidParameterError):
@@ -232,10 +226,12 @@ def test_checked_sq_filter_rejects_partial_codes():
 
 def test_checked_filter_detects_tampering():
     code = gabidulin_enumerate(2, 3, 3, 2)
-    # drop one low-rank codeword; the distribution cross-check must fire
-    victim = sq_filter(code, 2).codewords[0]
-    keep = (code.codewords != victim).any(axis=1)
-    assert np.count_nonzero(~keep) == 1
-    tampered = RankCode(code.spec, code.codewords[keep], full=True)
+    # overwrite one rank-2 word with a copy of a rank-3 word: the length
+    # stays at spec.cardinality, so only the distribution cross-check fires
+    word_ranks = ranks(code)
+    words = code.codewords.copy()
+    words[word_ranks.index(2)] = words[word_ranks.index(3)]
+    tampered = RankCode(code.spec, words)
+    assert len(tampered) == code.spec.cardinality
     with pytest.raises(InternalConsistencyError):
         checked_sq_filter(tampered, 2)
