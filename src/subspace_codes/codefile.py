@@ -17,9 +17,9 @@ The first line is the magic plus format version.  Header lines are
 ``key=value``; ``construction`` is optional and records how the code was
 assembled so round labels and the predicted size can be recovered.  Lines
 starting with ``#`` before the ``--`` separator are comments.  After the
-separator comes one member per line: k groups of ``ambient`` base-q digit
-characters joined by ``|``, row 0 first, column 0 as the leftmost digit of
-a group.
+separator come exactly ``members`` lines of k * (ambient + 1) bytes: k
+groups of ``ambient`` base-q digit characters joined by ``|`` and ended by
+``\n``, row 0 first, column 0 as the leftmost digit of a group.
 
 Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
@@ -32,19 +32,24 @@ verification rather than being repaired here.
 
 from __future__ import annotations
 
-from array import array
+import os
 
 import numpy as np
 
 from .bounds import CdcParams, block_cardinalities
 from .construction import CDC
 from .errors import CodeFileError, InvalidParameterError
-from .fields import SUPPORTED_Q, rref_rows
+from .fields import SUPPORTED_Q, pack_rows, rref_rows, unpack_rows
 
 MAGIC = "subspace-code"
 VERSION = 1
 
-WRITE_CHUNK = 1 << 11  # members formatted per numpy pass
+CHUNK = 1 << 11  # member lines encoded or decoded per numpy pass
+
+
+def _separators(k: int) -> np.ndarray:
+    """The byte after each row of a member line: "|", and "\\n" last."""
+    return np.frombuffer(b"|" * (k - 1) + b"\n", dtype=np.uint8)
 
 
 def write_code(code: CDC, path) -> None:
@@ -56,21 +61,13 @@ def write_code(code: CDC, path) -> None:
     if p is not None and p.n is not None:
         header.append(f"construction=parallel n={p.n} s={p.s}")
     header.append("--")
-    # digit c of a row is (row // q**c) % q; q**(ambient - 1) < 2**64
-    powers = np.uint64(q) ** np.arange(ambient, dtype=np.uint64)
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for lo in range(0, len(code), WRITE_CHUNK):
-            chunk = code.codes[lo:lo + WRITE_CHUNK]
-            # each row becomes its digits plus one byte: "|" between rows,
-            # a newline after the last
-            digits = chunk[:, :, None] // powers
-            digits %= np.uint64(q)
-            digits += np.uint64(ord("0"))
+        for lo in range(0, len(code), CHUNK):
+            chunk = code.codes[lo:lo + CHUNK]
             out = np.empty((len(chunk), k, ambient + 1), dtype=np.uint8)
-            out[:, :, :ambient] = digits
-            out[:, :, ambient] = ord("|")
-            out[:, -1, ambient] = ord("\n")
+            out[:, :, :ambient] = unpack_rows(chunk, q, ambient) + ord("0")
+            out[:, :, ambient] = _separators(k)
             fh.write(out.tobytes())
 
 
@@ -97,32 +94,24 @@ def read_code(path) -> CDC:
     """Parse a code file into the CDC it stores.
 
     Structural problems (bad magic, missing keys, an unsupported field
-    order, wrong row shapes, digits outside the field, rows wider than the
-    uint64 row limit, declared member count not matching the body) raise
-    CodeFileError.  Mathematical problems (duplicates, wrong distance) are
-    the verifier's business and pass through silently here.  The body is
-    streamed line by line into a flat buffer of packed rows.
+    order, rows wider than the uint64 row limit, a body size other than
+    the declared member count of lines, bad digits or separators, rows not
+    in canonical form) raise CodeFileError.  Mathematical problems
+    (duplicates, wrong distance) are the verifier's business and pass
+    through silently here.  The body is decoded CHUNK lines at a time.
     """
-    # the format is ASCII; any other byte decodes to U+FFFD and then fails
-    # the same checks as any other stray character
-    with open(path, encoding="ascii", errors="replace") as fh:
-        magic = fh.readline()
-        if not magic:
-            raise CodeFileError("empty file")
-        magic = magic.rstrip("\n")
-        first = magic.split()
-        if len(first) != 2 or first[0] != MAGIC or not first[1].startswith("v"):
-            raise CodeFileError(f"bad magic line {magic!r}")
-        try:
-            version = int(first[1][1:])
-        except ValueError:
-            raise CodeFileError(f"bad version in {magic!r}") from None
-        if version != VERSION:
-            raise CodeFileError(f"unsupported format version {version}")
+    with open(path, "rb") as fh:
+        # the header is ASCII; any other byte decodes to U+FFFD and then
+        # fails the same checks as any other stray character
+        lines = (raw.decode("ascii", errors="replace").rstrip("\n")
+                 for raw in fh)
+        magic = next(lines, "")
+        if magic != f"{MAGIC} v{VERSION}":
+            raise CodeFileError(
+                f"not a {MAGIC} v{VERSION} file: first line {magic!r}")
 
         header: dict = {}
-        for line in fh:
-            line = line.rstrip("\n")
+        for line in lines:
             if line == "--":
                 break
             if not line or line.startswith("#"):
@@ -137,11 +126,8 @@ def read_code(path) -> CDC:
             raise CodeFileError("missing -- separator")
 
         try:
-            q = int(header["q"])
-            ambient = int(header["ambient"])
-            k = int(header["k"])
-            d = int(header["d"])
-            members = int(header["members"])
+            q, ambient, k, d, members = (
+                int(header[key]) for key in ("q", "ambient", "k", "d", "members"))
         except KeyError as exc:
             raise CodeFileError(f"missing header key {exc.args[0]!r}") from None
         except ValueError:
@@ -163,44 +149,37 @@ def read_code(path) -> CDC:
             construction = _parse_construction(header["construction"], q,
                                                ambient, d, k)
 
-        digits = "0123456789"[:q]
-        rows_buf = array("Q")
-        count = 0
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            groups = line.split("|")
-            if len(groups) != k:
+        line_len = k * (ambient + 1)
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if body != members * line_len:
+            raise CodeFileError(
+                f"header declares {members} members of {line_len} bytes "
+                f"each, body has {body} bytes")
+        codes = np.empty((members, k), dtype=np.uint64)
+        sep = _separators(k)
+        for lo in range(0, members, CHUNK):
+            count = min(CHUNK, members - lo)
+            block = np.frombuffer(fh.read(count * line_len),
+                                  dtype=np.uint8).reshape(count, k, -1)
+            # bytes below "0" wrap past q as well
+            digits = block[:, :, :ambient] - np.uint8(ord("0"))
+            bad = np.flatnonzero((digits >= q).any(axis=(1, 2))
+                                 | (block[:, :, ambient] != sep).any(axis=1))
+            if len(bad):
                 raise CodeFileError(
-                    f"member line has {len(groups)} rows, expected {k}: {line!r}")
-            rows = []
-            for g in groups:
-                if len(g) != ambient:
-                    raise CodeFileError(
-                        f"row of width {len(g)}, expected {ambient}: {g!r}")
-                if g.strip(digits):
-                    bad = next(ch for ch in g if ch not in digits)
-                    raise CodeFileError(f"digit {bad!r} outside GF({q})")
-                # column 0 is the leftmost digit and the least significant
-                rows.append(int(g[::-1], q))
-            rows_buf.extend(rows)
-            count += 1
-    codes = np.frombuffer(rows_buf, dtype=np.uint64).reshape(-1, k)
-    # the format stores canonical generator rows; anything else is a
-    # malformed file, not a code with surprising members
-    ranks, reduced = rref_rows(codes, q, ambient)
-    bad = np.flatnonzero((ranks != k) | (reduced != codes).any(axis=1))
-    if len(bad):
-        raise CodeFileError(
-            f"member {bad[0] + 1} rows are not in canonical form")
-    if count != members:
-        raise CodeFileError(
-            f"header declares {members} members, body has {count}")
+                    f"member {lo + bad[0] + 1} is not {k} rows of {ambient} "
+                    f"digits of GF({q}) joined by '|'")
+            rows = pack_rows(digits, q)
+            ranks, reduced = rref_rows(rows, q, ambient)
+            bad = np.flatnonzero((ranks != k) | (reduced != rows).any(axis=1))
+            if len(bad):
+                raise CodeFileError(
+                    f"member {lo + bad[0] + 1} rows are not in canonical form")
+            codes[lo:lo + count] = rows
 
     rounds = None
     if construction is not None:
         sizes = block_cardinalities(q, construction.n, k, d, construction.s)
-        if sum(sizes) == count:
+        if sum(sizes) == members:
             rounds = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
     return CDC(q, ambient, k, d, codes, rounds, construction)

@@ -130,12 +130,6 @@ class CDC:
     def __len__(self):
         return len(self.codes)
 
-    def member_rows(self, i: int) -> tuple:
-        return tuple(self.codes[i].tolist())
-
-    def subspace(self, i: int) -> Subspace:
-        return Subspace(self.q, self.ambient, self.member_rows(i))
-
     def distinct_count(self) -> int:
         if len(self.codes) < 2:
             return len(self.codes)

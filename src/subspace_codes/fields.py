@@ -462,6 +462,21 @@ def unpack_row(value: int, q: int, width: int) -> list:
     return out
 
 
+def unpack_rows(rows, q: int, width: int) -> np.ndarray:
+    """unpack_row over a uint64 array: a trailing axis of uint8 digits."""
+    powers = np.uint64(q) ** np.arange(width, dtype=np.uint64)
+    return (rows[..., None] // powers % np.uint64(q)).astype(np.uint8)
+
+
+def pack_rows(digits, q: int) -> np.ndarray:
+    """pack_row over the last axis, adding one digit column at a time."""
+    rows = np.zeros(digits.shape[:-1], dtype=np.uint64)
+    for c in range(digits.shape[-1] - 1, -1, -1):
+        rows *= np.uint64(q)
+        rows += digits[..., c]
+    return rows
+
+
 def _rank_bits(rows) -> int:
     piv = {}
     for v in rows:
@@ -543,8 +558,7 @@ def _rref_binary(rows):
 def _rref_digits(rows, q: int, width: int):
     # reduce the (B, r, width) base-q digits column by column, then repack
     mul, sub, inv = _tables(q)
-    powers = np.uint64(q) ** np.arange(width, dtype=np.uint64)
-    digits = (rows[:, :, None] // powers % np.uint64(q)).astype(np.uint8)
+    digits = unpack_rows(rows, q, width)
     rank = np.zeros(len(rows), dtype=np.int64)
     slot = np.arange(rows.shape[1])
     for c in range(width):
@@ -561,7 +575,7 @@ def _rref_digits(rows, q: int, width: int):
         sel[at, top] = prow
         digits[idx] = sel
         rank[idx] += 1
-    return (digits * powers).sum(axis=2, dtype=np.uint64)
+    return pack_rows(digits, q)
 
 
 def rref_rows(rows, q: int, width: int):

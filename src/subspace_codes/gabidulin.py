@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import truncated_rank_sum
 from .errors import BudgetExceededError, InternalConsistencyError, InvalidParameterError
-from .fields import extension_field, field_of, linearized_eval, rref_rows
+from .fields import extension_field, field_of, linearized_eval, pack_rows, rref_rows
 
 DEFAULT_ENUM_BUDGET = 2 ** 24
 BUDGET_ENV_VAR = "SUBSPACE_ENUM_BUDGET"
@@ -114,10 +114,8 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
 
     # entry c of a row has its base-p digits at positions c*e .. c*e + e - 1,
     # so the packed row sum(entry_c * q**c) is sum(digit_j * p**j)
-    words = np.zeros(acc.shape[:2], dtype=np.uint64)
-    for j in range(acc.shape[2]):
-        words += acc[:, :, j] * np.uint64(p ** j)
-    return RankCode(RankCodeSpec(q, n, k, delta, cardinality), words)
+    return RankCode(RankCodeSpec(q, n, k, delta, cardinality),
+                    pack_rows(acc, p))
 
 
 def sq_filter(code: RankCode, max_rank: int) -> RankCode:

@@ -121,7 +121,8 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
     more than one round is populated, a stratified top-up of
     ceil(samples / 10) extra pairs with members from different rounds is
     appended, since cross-round pairs are the thinner failure surface.
-    If ``samples`` covers every pair, the exhaustive scan answers instead.
+    Pairs are drawn and scanned RREF_CHUNK at a time.  If ``samples``
+    covers every pair, the exhaustive scan answers instead.
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be positive, got {samples}")
@@ -134,34 +135,47 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
             code, pair_budget=max(total_pairs, PAIR_BUDGET_DEFAULT))
 
     stream = lcg_stream(seed)
-    pairs = array("q")
-    drawn = 0
-    while drawn < samples:
-        i = next(stream) % m
-        j = next(stream) % m
-        if i == j:
-            continue
-        pairs.extend((min(i, j), max(i, j)))
-        drawn += 1
-
     extra = found = 0
     rounds = code.rounds
     if rounds is not None and len(rounds) and rounds.min() != rounds.max():
         extra = -(-samples // 10)
+
+    def blocks():
+        # main draws, then the top-up, at most RREF_CHUNK pairs at a time;
+        # each block is scanned before the next one is drawn
+        nonlocal found
+        drawn = 0
+        while drawn < samples:
+            pairs = array("q")
+            stop = min(samples, drawn + RREF_CHUNK)
+            while drawn < stop:
+                i = next(stream) % m
+                j = next(stream) % m
+                if i == j:
+                    continue
+                pairs.extend((min(i, j), max(i, j)))
+                drawn += 1
+            yield np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T
         attempts = 0
         while found < extra and attempts < 50 * extra:
-            attempts += 1
-            i = next(stream) % m
-            j = next(stream) % m
-            if i == j or int(rounds[i]) == int(rounds[j]):
-                continue
-            pairs.extend((min(i, j), max(i, j)))
-            found += 1
+            pairs = array("q")
+            stop = min(extra, found + RREF_CHUNK)
+            while found < stop and attempts < 50 * extra:
+                attempts += 1
+                i = next(stream) % m
+                j = next(stream) % m
+                if i == j or int(rounds[i]) == int(rounds[j]):
+                    continue
+                pairs.extend((min(i, j), max(i, j)))
+                found += 1
+            if pairs:
+                yield np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    ij = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
-    best, witness = _scan(code, (ij[lo:lo + RREF_CHUNK].T
-                                 for lo in range(0, len(ij), RREF_CHUNK)))
-    return DistanceReport(best, witness, len(ij), "sampled",
+    drawing = blocks()
+    best, witness = _scan(code, drawing)
+    for _ in drawing:  # distance 0 ends the scan, not the draws
+        pass
+    return DistanceReport(best, witness, samples + found, "sampled",
                           samples=samples, seed=seed,
                           topup_requested=extra, topup_found=found)
 

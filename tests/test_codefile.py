@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from subspace_codes.codefile import read_code, write_code
+from subspace_codes.codefile import CHUNK, read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
 from subspace_codes.errors import CodeFileError
 from subspace_codes.fields import RREF_CHUNK, unpack_row
@@ -66,7 +66,7 @@ def test_file_is_line_oriented_ascii(tmp_path):
     assert "--" in lines
     body = lines[lines.index("--") + 1:]
     assert len(body) == 25
-    first = [unpack_row(r, 2, code.ambient) for r in code.member_rows(0)]
+    first = [unpack_row(r, 2, code.ambient) for r in code.codes[0].tolist()]
     groups = body[0].split("|")
     assert len(groups) == 2
     # column 0 is the leftmost character of each group
@@ -213,7 +213,7 @@ def test_reader_accepts_in_format_tampering(tmp_path):
     lines[i] = "".join(body)
     path.write_text("\n".join(lines) + "\n")
     back = read_code(path)
-    assert back.member_rows(0) != code.member_rows(0)
+    assert back.codes[0].tolist() != code.codes[0].tolist()
     assert len(back) == len(code)
 
 
@@ -255,6 +255,84 @@ def test_reader_rejects_non_ascii_bytes(tmp_path):
         bad.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with pytest.raises(CodeFileError):
             read_code(bad)
+
+
+def tiled(q, members):
+    """A code of exactly ``members`` members, repeating a small code's rows."""
+    base = assemble_parallel(q, 2, 2, 2, 1)
+    reps = -(-members // len(base))
+    return CDC(q, base.ambient, base.k, base.d,
+               np.tile(base.codes, (reps, 1))[:members])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("members", [0, 1, CHUNK, CHUNK + 1])
+def test_roundtrip_at_chunk_seams(tmp_path, q, members):
+    code = tiled(q, members)
+    back = roundtrip(tmp_path, code)
+    assert (back.q, back.ambient, back.k, back.d) == (q, 6, 2, 2)
+    assert back.codes.dtype == np.uint64 and back.codes.shape == (members, 2)
+    assert np.array_equal(back.codes, code.codes)
+
+
+def damage_member(tmp_path, offset, byte, name):
+    """Overwrite one byte of member CHUNK + 50 (0-based) in a q = 2 file."""
+    code = tiled(2, CHUNK + 100)
+    path = tmp_path / name
+    write_code(code, path)
+    data = bytearray(path.read_bytes())
+    line_len = code.k * (code.ambient + 1)
+    at = data.index(b"--\n") + 3 + (CHUNK + 50) * line_len + offset
+    data[at] = byte
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("offset, byte", [
+    (3, ord("2")),    # a digit outside GF(2)
+    (6, ord(",")),    # the separator after row 0
+    (13, ord("|")),   # the newline after the last row
+    (1, 0xFF),        # a non-ASCII byte
+])
+def test_reader_names_damaged_member_past_first_chunk(tmp_path, offset, byte):
+    path = damage_member(tmp_path, offset, byte, f"d{offset}.txt")
+    with pytest.raises(CodeFileError, match=rf"member {CHUNK + 51} "):
+        read_code(path)
+
+
+def test_reader_checks_member_count_before_reading_body(tmp_path):
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(5, f"members={10 ** 15}"))
+    # an array of 10**15 members could not be allocated, so only a check on
+    # the body size gets this far
+    with pytest.raises(CodeFileError, match=rf"declares {10 ** 15} members"):
+        read_code(path)
+
+
+def blank_line(data, body, line_len):
+    at = body + line_len
+    return data[:at] + b"\n" + data[at:]
+
+
+@pytest.mark.parametrize("damage", [
+    blank_line,
+    lambda data, body, line_len: data + b"\n",
+    lambda data, body, line_len: data.replace(b"\n", b"\r\n"),
+    lambda data, body, line_len: (data[:body]
+                                  + data[body:].replace(b"\n", b"\r\n")),
+    lambda data, body, line_len: data[:-1],
+    # the body size matches again, so the separator check has to catch it
+    lambda data, body, line_len: blank_line(data, body, line_len)[:-1],
+], ids=["blank-line", "trailing-blank-line", "crlf", "crlf-body",
+        "no-final-newline", "blank-line-no-final-newline"])
+def test_reader_rejects_lines_the_writer_never_writes(tmp_path, damage):
+    code = assemble_parallel(2, 2, 2, 2, 0)
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    data = path.read_bytes()
+    body = data.index(b"--\n") + 3
+    path.write_bytes(damage(data, body, code.k * (code.ambient + 1)))
+    with pytest.raises(CodeFileError):
+        read_code(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):

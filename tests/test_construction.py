@@ -130,7 +130,7 @@ def test_members_are_valid_subspaces():
     code = assemble_parallel(3, 2, 2, 2, 0)
     f = field_of(3)
     for i in range(len(code)):
-        sub = code.subspace(i)
+        sub = Subspace(code.q, code.ambient, tuple(code.codes[i].tolist()))
         assert sub.dim == 2
         # rows are canonical: re-reducing changes nothing
         gen = matrix(f, [unpack_row(r, 3, sub.ambient) for r in sub.rows])
@@ -142,7 +142,8 @@ def test_two_round_code_against_manual_lifts():
     the full evaluation code and B from its rank-limited subcode."""
     q, n, k, d = 2, 3, 2, 2
     code = assemble_parallel(q, n, k, d, 0)
-    got = {code.subspace(i) for i in range(len(code))}
+    got = {Subspace(q, code.ambient, tuple(rows))
+           for rows in code.codes.tolist()}
 
     full = gabidulin_enumerate(q, n, k, d // 2)
     low = sq_filter(gabidulin_enumerate(q, n, k, d // 2), k - d // 2)
@@ -163,7 +164,7 @@ def test_pivot_columns_separate_rounds():
     q, n, k = 2, 3, 2
     code = assemble_parallel(q, n, k, 2, 0)
     for i in range(len(code)):
-        lists = [unpack_row(r, q, code.ambient) for r in code.member_rows(i)]
+        lists = [unpack_row(r, q, code.ambient) for r in code.codes[i].tolist()]
         pivots = [row.index(1) for row in lists]
         if int(code.rounds[i]) == 0:
             assert pivots == [0, 1]
@@ -174,7 +175,8 @@ def test_pivot_columns_separate_rounds():
 
 def test_cross_round_distances_meet_claim():
     code = assemble_parallel(2, 2, 2, 2, 1)
-    subs = [code.subspace(i) for i in range(len(code))]
+    subs = [Subspace(code.q, code.ambient, tuple(rows))
+            for rows in code.codes.tolist()]
     rounds = [int(b) for b in code.rounds]
     pairs = 0
     for i in range(len(code)):
@@ -215,8 +217,7 @@ def test_member_row_layout():
     # member i is the row tuple codes[i]; row 0 comes first
     code = CDC(2, 2, 2, 2, [(0b01, 0b10)])
     assert code.codes.tolist() == [[0b01, 0b10]]
-    assert code.member_rows(0) == (0b01, 0b10)
-    assert CDC(3, 2, 2, 2, [(5, 7)]).member_rows(0) == (5, 7)
+    assert CDC(3, 2, 2, 2, [(5, 7)]).codes.tolist() == [[5, 7]]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -241,12 +242,12 @@ def test_cdc_rejects_rows_past_uint64():
     with pytest.raises(InvalidParameterError, match=r"2\*\*64"):
         CDC(2, 65, 1, 2, [])
     top = CDC(2, 64, 1, 2, [(2 ** 64 - 1,)])
-    assert top.member_rows(0) == (2 ** 64 - 1,)
+    assert top.codes.tolist() == [[2 ** 64 - 1]]
 
 
 def test_subspace_accessors():
     code = assemble_parallel(2, 2, 2, 2, 0)
-    sub = code.subspace(0)
+    sub = Subspace(code.q, code.ambient, tuple(code.codes[0].tolist()))
     assert isinstance(sub, Subspace)
     assert sub.q == 2 and sub.ambient == 4
     assert isinstance(code, CDC)

@@ -24,10 +24,12 @@ from subspace_codes.fields import (
     mat_sub,
     matrix,
     pack_row,
+    pack_rows,
     packed_rank,
     packed_rref,
     rref_rows,
     unpack_row,
+    unpack_rows,
 )
 
 # every (q, m) whose GF(q^m) has a modulus on record
@@ -420,6 +422,33 @@ def test_rref_rows_across_chunk_seams(q):
     rng = np.random.default_rng(q)
     stacks = rng.integers(0, q ** width, size=(2 * RREF_CHUNK + 3, r)).tolist()
     assert_matches_scalar(stacks, q, width)
+
+
+@st.composite
+def packed_arrays(draw):
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    width = draw(st.one_of(st.just(WIDTH_LIMIT[q]),
+                           st.integers(1, WIDTH_LIMIT[q])))
+    top = q ** width - 1
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    values = draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
+                           min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]))
+    return q, width, np.array(values, dtype=np.uint64).reshape(shape)
+
+
+@given(packed_arrays())
+@settings(max_examples=300, deadline=None)
+def test_row_codec_matches_scalar_and_roundtrips(case):
+    q, width, rows = case
+    digits = unpack_rows(rows, q, width)
+    assert digits.dtype == np.uint8 and digits.shape == rows.shape + (width,)
+    packed = pack_rows(digits, q)
+    assert packed.dtype == np.uint64
+    assert np.array_equal(packed, rows)
+    for index, value in np.ndenumerate(rows):
+        assert digits[index].tolist() == unpack_row(int(value), q, width)
+        assert int(packed[index]) == pack_row(digits[index].tolist(), q)
 
 
 def test_mat_sub():

@@ -2,17 +2,24 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subspace_codes.construction import CDC, assemble_parallel, canonicalize, lift
+from subspace_codes.construction import (
+    CDC,
+    Subspace,
+    assemble_parallel,
+    canonicalize,
+    lift,
+)
 from subspace_codes.errors import (
     BudgetExceededError,
     IncompatibleSpacesError,
     InvalidParameterError,
 )
-from subspace_codes.fields import field_of, mat_rank, matrix, unpack_row
+from subspace_codes.fields import RREF_CHUNK, field_of, mat_rank, matrix, unpack_row
 from subspace_codes.gabidulin import gabidulin_enumerate
 from subspace_codes.verify import (
     LCG_INCREMENT,
@@ -24,6 +31,10 @@ from subspace_codes.verify import (
     reconcile,
     subspace_distance,
 )
+
+
+def member(code, i):
+    return Subspace(code.q, code.ambient, tuple(code.codes[i].tolist()))
 
 
 def grassmannian(q, n, k):
@@ -96,7 +107,7 @@ def test_exhaustive_distance_of_lifted_codes():
     assert report.pairs_checked == 64 * 63 // 2
     assert not report.vacuous
     i, j = report.witness
-    assert subspace_distance(code.subspace(i), code.subspace(j)) == 4
+    assert subspace_distance(member(code, i), member(code, j)) == 4
 
     small = lifted_code(2, 2, 2, 1)
     assert len(small) == 16
@@ -251,7 +262,7 @@ def scalar_exhaustive(code):
     best = witness = None
     for i in range(m - 1):
         for j in range(i + 1, m):
-            dist = subspace_distance(code.subspace(i), code.subspace(j))
+            dist = subspace_distance(member(code, i), member(code, j))
             if best is None or dist < best:
                 best, witness = dist, (i, j)
                 if best == 0:
@@ -274,7 +285,7 @@ def scalar_sampled(code, samples, seed):
     def check(i, j):
         nonlocal best, witness, checked
         i, j = min(i, j), max(i, j)
-        dist = subspace_distance(code.subspace(i), code.subspace(j))
+        dist = subspace_distance(member(code, i), member(code, j))
         if best is None or dist < best:
             best, witness = dist, (i, j)
         checked += 1
@@ -354,3 +365,38 @@ def test_topup_shortfall_is_reported():
     assert full.topup_found == full.topup_requested == 50
     assert reconcile(code, 481, 2, mode="sampled", samples=500,
                      seed=42).notes == []
+
+
+def test_sampled_blocks_span_the_topup():
+    # 2 * RREF_CHUNK + 1 top-up pairs: the top-up fills more than one block
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    samples = 20 * RREF_CHUNK + 1
+    report = min_distance_sampled(code, samples, seed=5)
+    assert report.topup_found == report.topup_requested == 2 * RREF_CHUNK + 1
+    assert as_tuple(report) == scalar_sampled(code, samples, 5)
+
+
+def test_sampled_draws_go_on_after_distance_zero():
+    # five distinct members repeated: the first block already holds a
+    # duplicate pair, and the later draws still count
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    repeated = CDC(code.q, code.ambient, code.k, code.d,
+                   code.codes[np.arange(len(code)) % 5], code.rounds)
+    samples = 3 * RREF_CHUNK
+    report = min_distance_sampled(repeated, samples, seed=1)
+    assert report.distance == 0
+    assert report.topup_found == report.topup_requested == samples // 10 + 1
+    assert as_tuple(report) == scalar_sampled(repeated, samples, 1)
+
+
+def test_sampled_memory_does_not_grow_with_samples():
+    code = assemble_parallel(2, 2, 2, 2, 3)
+    tracemalloc.start()
+    try:
+        report = min_distance_sampled(code, 300_000, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 330_000
+    # holding every drawn pair at once takes 16 bytes a pair, 5.3 MB here
+    assert peak < 1_500_000
