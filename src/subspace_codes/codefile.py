@@ -33,6 +33,7 @@ verification rather than being repaired here.
 from __future__ import annotations
 
 import os
+import stat
 
 import numpy as np
 
@@ -78,6 +79,8 @@ def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
     fields = {}
     for p in parts[1:]:
         key, _, val = p.partition("=")
+        if key in fields:
+            raise CodeFileError(f"repeated construction field {key!r}")
         try:
             fields[key] = int(val)
         except ValueError:
@@ -93,14 +96,20 @@ def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
 def read_code(path) -> CDC:
     """Parse a code file into the CDC it stores.
 
-    Structural problems (bad magic, missing keys, an unsupported field
-    order, rows wider than the uint64 row limit, a body size other than
-    the declared member count of lines, bad digits or separators, rows not
-    in canonical form) raise CodeFileError.  Mathematical problems
-    (duplicates, wrong distance) are the verifier's business and pass
-    through silently here.  The body is decoded CHUNK lines at a time.
+    Structural problems (a path that is not a regular file, bad magic,
+    missing keys, an unsupported field order, rows wider than the uint64
+    row limit, a body size other than the declared member count of lines,
+    bad digits or separators, rows not in canonical form) raise
+    CodeFileError.  Mathematical problems (duplicates, wrong distance) are
+    the verifier's business and pass through silently here.  The body is
+    decoded CHUNK lines at a time.
     """
     with open(path, "rb") as fh:
+        # the body size check needs a file size, which a pipe does not have
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise CodeFileError(
+                f"{path} is not a regular file; save the code to a file first")
         # the header is ASCII; any other byte decodes to U+FFFD and then
         # fails the same checks as any other stray character
         lines = (raw.decode("ascii", errors="replace").rstrip("\n")
@@ -150,7 +159,7 @@ def read_code(path) -> CDC:
                                                ambient, d, k)
 
         line_len = k * (ambient + 1)
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        body = info.st_size - fh.tell()
         if body != members * line_len:
             raise CodeFileError(
                 f"header declares {members} members of {line_len} bytes "

@@ -11,11 +11,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, InvalidParameterError
+from .fields import _factor_prime_power
 
 
 def _check_q(q: int):
     if not isinstance(q, int) or q < 2:
         raise InvalidParameterError(f"field order must be an integer >= 2, got {q!r}")
+    if _factor_prime_power(q) is None:
+        raise InvalidParameterError(f"field order must be a prime power, got {q}")
 
 
 @lru_cache(maxsize=None)

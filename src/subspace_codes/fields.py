@@ -76,16 +76,17 @@ class Field:
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        if e == 1:
-            self.generator = (-modulus[0]) % p
-        else:
-            self.generator = p
 
+        # powers of x: shift the digits up one place, then reduce the top
+        # digit by the monic modulus; exp[q - 1] wraps back to 1
         exp = [1]
-        cur = 1
-        for _ in range(self.q - 2):
-            cur = self._mul_poly(cur, self.generator)
-            exp.append(cur)
+        cur = [1] + [0] * (e - 1)
+        for _ in range(self.q - 1):
+            top = cur[-1]
+            cur = [(lo - top * c) % p for lo, c in zip([0] + cur[:-1], modulus)]
+            exp.append(self.undigits(cur))
+        self.generator = exp[1]
+        exp.pop()
         if sorted(exp) != list(range(1, self.q)):
             raise InternalConsistencyError(
                 f"residue generator of GF({self.q}) is not primitive")
@@ -95,22 +96,12 @@ class Field:
         self._exp = tuple(exp)
         self._log = tuple(log)
 
-        if p == 2 or e == 1:
-            self._add = None
-            self._neg = None
-        else:
-            # flat q*q table; the largest base order is 9 and the largest
-            # odd-characteristic extension in practice is GF(729)
-            add = []
-            for a in range(self.q):
-                da = self.digits(a)
-                for b in range(self.q):
-                    db = self.digits(b)
-                    add.append(self.undigits(
-                        [(x + y) % p for x, y in zip(da, db)]))
-            self._add = tuple(add)
-            self._neg = tuple(self.undigits([(-x) % p for x in self.digits(a)])
-                              for a in range(self.q))
+        # digit-wise sums and negatives mod p; _add is a flat q*q table
+        weight = p ** np.arange(e)
+        dig = np.arange(self.q)[:, None] // weight % p
+        add = ((dig[:, None] + dig) % p) @ weight
+        self._add = tuple(add.ravel().tolist())
+        self._neg = tuple(((-dig % p) @ weight).tolist())
 
     def digits(self, a: int) -> list:
         p = self.p
@@ -126,36 +117,10 @@ class Field:
             a = a * self.p + d
         return a
 
-    def _mul_poly(self, a, b):
-        # polynomial product reduced by the monic modulus; only used while
-        # building the exp table, everything afterwards is table lookups
-        p, e = self.p, self.e
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * self.modulus[j]) % p
-        return self.undigits(prod[:e])
-
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % self.p
         return self._add[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % self.p
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:

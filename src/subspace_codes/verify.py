@@ -15,8 +15,9 @@ stream arithmetic trivial.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -38,6 +39,41 @@ def lcg_stream(seed: int):
     while True:
         state = (state * LCG_MULTIPLIER + LCG_INCREMENT) & LCG_MASK
         yield state
+
+
+@lru_cache(maxsize=None)
+def _lcg_jump():
+    # word t after state x is (a_t x + c_t) mod 2^64, for t = 1..2*RREF_CHUNK:
+    # c_t is word t after 0 and a_t + c_t word t after 1 (uint64 arrays wrap)
+    n = 2 * RREF_CHUNK
+    c = np.fromiter(islice(lcg_stream(0), n), dtype=np.uint64, count=n)
+    a = np.fromiter(islice(lcg_stream(1), n), dtype=np.uint64, count=n) - c
+    return a, c
+
+
+def _pairs(state: int, m: int, want: int, cap: int | None = None, rounds=None):
+    # yields the pairs i < j drawn after state, one block per RREF_CHUNK
+    # attempts; an attempt (two words mod m) counts when i != j and, given
+    # rounds, the rounds differ.  Stops after want pairs or cap attempts and
+    # returns the state after the last attempt used and the pairs drawn.
+    a, c = _lcg_jump()
+    got = tried = 0
+    while got < want and (cap is None or tried < cap):
+        n = RREF_CHUNK if cap is None else min(RREF_CHUNK, cap - tried)
+        words = a[:2 * n] * np.uint64(state) + c[:2 * n]
+        i, j = (words % np.uint64(m)).astype(np.int64).reshape(n, 2).T
+        ok = i != j
+        if rounds is not None:
+            ok &= rounds[i] != rounds[j]
+        hit = np.flatnonzero(ok)[:want - got]
+        used = int(hit[-1]) + 1 if got + len(hit) == want else n
+        state = int(words[2 * used - 1])
+        tried += used
+        got += len(hit)
+        if len(hit):
+            i, j = i[hit], j[hit]
+            yield np.minimum(i, j), np.maximum(i, j)
+    return state, got
 
 
 def subspace_distance(u: Subspace, w: Subspace) -> int:
@@ -107,9 +143,17 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
             f"{pairs} pairs exceed the pair budget of {budget}; "
             f"use sampled verification instead")
 
-    by_row = ((np.repeat(i, m - 1 - i), np.arange(i + 1, m))
-              for i in range(m - 1))
-    best, witness = _scan(code, by_row)
+    # pair t is (i, j) with first[i] <= t < first[i + 1], in (i, j) order
+    first = np.arange(m - 1, dtype=np.int64)
+    first = first * (2 * m - first - 1) // 2
+
+    def blocks():
+        for lo in range(0, pairs, RREF_CHUNK):
+            t = np.arange(lo, min(lo + RREF_CHUNK, pairs), dtype=np.int64)
+            i = first.searchsorted(t, "right") - 1
+            yield i, t - first[i] + i + 1
+
+    best, witness = _scan(code, blocks())
     return DistanceReport(best, witness, pairs, "exhaustive")
 
 
@@ -120,9 +164,11 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
     count, redrawn on collision).  When the code carries round labels and
     more than one round is populated, a stratified top-up of
     ceil(samples / 10) extra pairs with members from different rounds is
-    appended, since cross-round pairs are the thinner failure surface.
-    Pairs are drawn and scanned RREF_CHUNK at a time.  If ``samples``
-    covers every pair, the exhaustive scan answers instead.
+    appended, since cross-round pairs are the thinner failure surface; it
+    resumes the stream where the main draws stopped and gives up after 50
+    attempts per requested pair.  Both phases draw RREF_CHUNK attempts at a
+    time with array arithmetic.  If ``samples`` covers every pair, the
+    exhaustive scan answers instead.
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be positive, got {samples}")
@@ -134,42 +180,17 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
         return min_distance_exhaustive(
             code, pair_budget=max(total_pairs, PAIR_BUDGET_DEFAULT))
 
-    stream = lcg_stream(seed)
     extra = found = 0
     rounds = code.rounds
     if rounds is not None and len(rounds) and rounds.min() != rounds.max():
         extra = -(-samples // 10)
 
     def blocks():
-        # main draws, then the top-up, at most RREF_CHUNK pairs at a time;
-        # each block is scanned before the next one is drawn
+        # main draws, then the top-up off the same stream; each block is
+        # scanned before the next one is drawn
         nonlocal found
-        drawn = 0
-        while drawn < samples:
-            pairs = array("q")
-            stop = min(samples, drawn + RREF_CHUNK)
-            while drawn < stop:
-                i = next(stream) % m
-                j = next(stream) % m
-                if i == j:
-                    continue
-                pairs.extend((min(i, j), max(i, j)))
-                drawn += 1
-            yield np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T
-        attempts = 0
-        while found < extra and attempts < 50 * extra:
-            pairs = array("q")
-            stop = min(extra, found + RREF_CHUNK)
-            while found < stop and attempts < 50 * extra:
-                attempts += 1
-                i = next(stream) % m
-                j = next(stream) % m
-                if i == j or int(rounds[i]) == int(rounds[j]):
-                    continue
-                pairs.extend((min(i, j), max(i, j)))
-                found += 1
-            if pairs:
-                yield np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2).T
+        state, _ = yield from _pairs(seed & LCG_MASK, m, samples)
+        _, found = yield from _pairs(state, m, extra, 50 * extra, rounds)
 
     drawing = blocks()
     best, witness = _scan(code, drawing)

@@ -99,6 +99,9 @@ def test_dist_rejects_bad_parameters(capsys):
     rc, _, err = run(capsys, "dist", "--q", "2", "--m", "3",
                      "--nmin", "4", "--d", "2")
     assert rc == 2 and "error:" in err
+    rc, out, err = run(capsys, "dist", "--q", "6", "--m", "4",
+                       "--nmin", "4", "--d", "2")
+    assert rc == 2 and "prime power" in err and out == ""
 
 
 def test_unknown_command_and_mode(capsys):

@@ -1,6 +1,8 @@
 """Reading and writing the plain-text code format."""
 
 import hashlib
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -121,11 +123,35 @@ def test_reader_rejects_header_damage(tmp_path):
         lambda ls: ls.__setitem__(1, "q=10"),
         lambda ls: ls.remove("k=2"),             # missing key
         lambda ls: ls.__setitem__(5, "members=26"),  # declared != body
+        lambda ls: ls.__setitem__(6, "construction=parallel n=9 n=2 s=0 s=0"),
     ]
     for idx, mutate in enumerate(cases):
         path = corrupt(tmp_path, mutate, name=f"c{idx}.txt")
         with pytest.raises(CodeFileError):
             read_code(path)
+
+
+def test_reader_refuses_a_fifo(tmp_path):
+    # a pipe has no size to check the body against; the reader must say so
+    # rather than hang or fail on a seek
+    src = tmp_path / "code.txt"
+    write_code(assemble_parallel(2, 2, 2, 2, 0), src)
+    fifo = tmp_path / "code.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(src.read_bytes())
+        except BrokenPipeError:
+            pass  # the reader closed its end first
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(CodeFileError, match="not a regular file"):
+        read_code(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_reader_rejects_body_damage(tmp_path):

@@ -74,6 +74,11 @@ def test_gaussian_binomial_out_of_range_and_bad_q():
         gaussian_binomial(4, 2, 1)
     with pytest.raises(InvalidParameterError):
         gaussian_binomial(4, 2, 0)
+    for q in (6, 10, 12):  # no field has these orders
+        with pytest.raises(InvalidParameterError, match="prime power"):
+            gaussian_binomial(4, 2, q)
+        with pytest.raises(InvalidParameterError, match="prime power"):
+            delsarte_rank_distribution(q, 4, 4, 2)
 
 
 def matrix_rank_census(q, m, n):

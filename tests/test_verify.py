@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from subspace_codes.construction import (
     CDC,
@@ -25,6 +26,7 @@ from subspace_codes.verify import (
     LCG_INCREMENT,
     LCG_MASK,
     LCG_MULTIPLIER,
+    _lcg_jump,
     lcg_stream,
     min_distance_exhaustive,
     min_distance_sampled,
@@ -349,12 +351,14 @@ def test_duplicate_member_is_found_first():
 
 def test_topup_shortfall_is_reported():
     code = assemble_parallel(2, 2, 2, 2, 1)
-    # one member in round 1: few draws can land on a cross-round pair
+    # one member in round 1: few draws can land on a cross-round pair, and
+    # the cap of 50 * 50 attempts ends inside the second block of attempts
     lone = CDC(code.q, code.ambient, code.k, code.d, code.codes,
                [0] * (len(code) - 1) + [1])
     report = min_distance_sampled(lone, 500, seed=42)
     assert report.topup_requested == 50
-    assert report.topup_found < 50
+    assert 50 * 50 % RREF_CHUNK != 0
+    assert 0 < report.topup_found < 50
     assert report.pairs_checked == 500 + report.topup_found
     assert as_tuple(report) == scalar_sampled(lone, 500, 42)
     rec = reconcile(lone, 481, 2, mode="sampled", samples=500, seed=42)
@@ -400,3 +404,36 @@ def test_sampled_memory_does_not_grow_with_samples():
     assert report.pairs_checked == 330_000
     # holding every drawn pair at once takes 16 bytes a pair, 5.3 MB here
     assert peak < 1_500_000
+
+
+@given(st.integers(0, LCG_MASK))
+@example(0)
+@example(1)
+@example(LCG_MASK)
+def test_jump_table_reproduces_the_stream(state):
+    a, c = _lcg_jump()
+    words = a * np.uint64(state) + c
+    assert words.tolist() == list(itertools.islice(lcg_stream(state),
+                                                   2 * RREF_CHUNK))
+
+
+@pytest.mark.parametrize("samples", [RREF_CHUNK - 1, RREF_CHUNK,
+                                     RREF_CHUNK + 1])
+@pytest.mark.parametrize("seed", [-3, 2 ** 64 + 5])
+def test_sampled_matches_scalar_scan_at_block_seams(samples, seed):
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    got = min_distance_sampled(code, samples, seed=seed)
+    assert as_tuple(got) == scalar_sampled(code, samples, seed)
+    assert got.topup_found == got.topup_requested
+
+
+def test_exhaustive_witness_in_a_later_block_matches_scalar_scan():
+    # 100 members give 4950 = 2 * 2048 + 854 pairs; member 99 repeats
+    # member 60, and the pair (60, 99) has index 4208, in the third block
+    base = assemble_parallel(2, 2, 2, 2, 1)
+    code = with_duplicate(CDC(base.q, base.ambient, base.k, base.d,
+                              base.codes[:99], base.rounds[:99]), 60)
+    report = min_distance_exhaustive(code)
+    assert report.pairs_checked % RREF_CHUNK != 0
+    assert report.witness == (60, 99)
+    assert as_tuple(report) == scalar_exhaustive(code)
