@@ -21,6 +21,13 @@ from .fields import _factor_prime_power
 REFERENCE_DATA = "data/reference_bounds.txt"
 
 
+def check_distance(d: int) -> None:
+    """A subspace distance is even and at least 2."""
+    if d < 2 or d % 2:
+        raise InvalidParameterError(
+            f"subspace distance must be even and >= 2, got {d}")
+
+
 @dataclass(frozen=True)
 class CdcParams:
     """Parameters of a constant-dimension code.
@@ -46,9 +53,7 @@ class CdcParams:
         if not isinstance(self.q, int) or _factor_prime_power(self.q) is None:
             raise InvalidParameterError(
                 f"field order must be a prime power >= 2, got {self.q!r}")
-        if self.d < 2 or self.d % 2:
-            raise InvalidParameterError(
-                f"subspace distance must be even and >= 2, got {self.d}")
+        check_distance(self.d)
         if not self.d // 2 <= self.k <= self.ambient:
             raise InvalidParameterError(
                 f"need d/2 <= k <= ambient, got d={self.d}, k={self.k}, "

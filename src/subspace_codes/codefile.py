@@ -97,12 +97,13 @@ def read_code(path) -> CDC:
     """Parse a code file into the CDC it stores.
 
     Structural problems (a path that is not a regular file, bad magic,
-    missing keys, an unsupported field order, rows wider than the uint64
-    row limit, a body size other than the declared member count of lines,
-    bad digits or separators, rows not in canonical form) raise
-    CodeFileError.  Mathematical problems (duplicates, wrong distance) are
-    the verifier's business and pass through silently here.  The body is
-    decoded CHUNK lines at a time.
+    missing keys, an unsupported field order, a header (q, ambient, d, k)
+    that CdcParams rejects, rows wider than the uint64 row limit, a body
+    size other than the declared member count of lines, bad digits or
+    separators, rows not in canonical form) raise CodeFileError.
+    Mathematical problems (duplicates, wrong distance) are the verifier's
+    business and pass through silently here.  The body is decoded CHUNK
+    lines at a time.
     """
     with open(path, "rb") as fh:
         # the body size check needs a file size, which a pipe does not have
@@ -144,10 +145,10 @@ def read_code(path) -> CDC:
         if q not in SUPPORTED_Q:
             raise CodeFileError(
                 f"field order q={q} not supported; choose one of {SUPPORTED_Q}")
-        if ambient < 1 or not 1 <= k <= ambient or members < 0:
-            raise CodeFileError(
-                f"implausible header: ambient={ambient} k={k} members={members}")
+        if members < 0:
+            raise CodeFileError(f"implausible header: members={members}")
         try:
+            CdcParams(q, ambient, d, k).validate()
             # an empty code checks the row width before the body is read
             CDC(q, ambient, k, d, ())
         except InvalidParameterError as exc:

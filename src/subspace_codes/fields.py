@@ -13,7 +13,7 @@ Base fields handed out by :func:`field_of` are restricted to orders
 2, 3, 4, 5, 7, 8 and 9.  That keeps every lookup table tiny while covering
 every order the counting formulas in this package are tabulated for.
 Extension fields GF(q^m) are realized as GF(p^(e*m)) and carry an explicit
-embedding of GF(q) plus coordinate maps for the power basis over GF(q).
+embedding of GF(q) plus a coordinate table for the power basis over GF(q).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class Field:
         for _ in range(self.q - 1):
             top = cur[-1]
             cur = [(lo - top * c) % p for lo, c in zip([0] + cur[:-1], modulus)]
-            exp.append(self.undigits(cur))
+            exp.append(pack_row(cur, p))
         self.generator = exp[1]
         exp.pop()
         if sorted(exp) != list(range(1, self.q)):
@@ -97,25 +97,9 @@ class Field:
         self._log = tuple(log)
 
         # digit-wise sums and negatives mod p; _add is a flat q*q table
-        weight = p ** np.arange(e)
-        dig = np.arange(self.q)[:, None] // weight % p
-        add = ((dig[:, None] + dig) % p) @ weight
-        self._add = tuple(add.ravel().tolist())
-        self._neg = tuple(((-dig % p) @ weight).tolist())
-
-    def digits(self, a: int) -> list:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
-
-    def undigits(self, ds) -> int:
-        a = 0
-        for d in reversed(ds):
-            a = a * self.p + d
-        return a
+        dig = unpack_rows(np.arange(self.q, dtype=np.uint64), p, e)
+        self._add = tuple(pack_rows((dig[:, None] + dig) % p, p).ravel().tolist())
+        self._neg = tuple(pack_rows((p - dig) % p, p).tolist())
 
     def add(self, a: int, b: int) -> int:
         return self._add[a * self.q + b]
@@ -199,8 +183,10 @@ def check_element(field: Field, a: int, what: str = "element") -> int:
 class Extension:
     """GF(q^m) presented as an m-dimensional vector space over GF(q).
 
-    Carries the subfield embedding and the coordinate maps for ``basis``,
-    the power basis 1, g, ..., g^(m-1) of the extension generator g.
+    Carries the subfield embedding and ``coords``, the coordinate table for
+    ``basis``, the power basis 1, g, ..., g^(m-1) of the extension
+    generator g: entry x is the coordinate row of element x, packed as
+    sum(y_j * q**j) like every other row.
 
     Coordinates returned by :meth:`expand` are base-field element indices,
     ordered to match ``basis``.
@@ -211,60 +197,33 @@ class Extension:
             raise InvalidParameterError(f"extension degree must be >= 1, got {m}")
         self.base = base
         self.m = m
-        self.ext = _field(base.p, base.e * m)
-        ext = self.ext
+        self.ext = ext = _field(base.p, base.e * m)
+        order = ext.q - 1
 
-        # Canonical subfield generator: with compatible (Conway) moduli the
-        # norm-like power of the extension generator is a root of the base
-        # modulus.
-        cand = ext._exp[((ext.q - 1) // (base.q - 1)) % (ext.q - 1)]
-        if self._eval_base_modulus(cand) != 0:
+        # the norm power g^(order / (q - 1)) generates the copy of GF(q)
+        # inside GF(q^m); with compatible (Conway) moduli it is a root of
+        # the base modulus, so a = x^log(a) maps to its log-th power
+        exp = np.array(ext._exp)
+        logs = np.array(base._log) * (order // (base.q - 1))
+        self._emb = (0,) + tuple(exp[logs[1:]].tolist())
+        if any(self._emb[base.add(a, b)] != ext.add(self._emb[a], self._emb[b])
+               for a in range(base.q) for b in range(base.q)):
             raise InternalConsistencyError(
-                f"norm power of the GF({ext.q}) generator is not a root of "
-                f"the GF({base.q}) modulus")
-
-        powers = [1]
-        for _ in range(base.e - 1):
-            powers.append(ext.mul(powers[-1], cand))
-        emb = []
-        for a in range(base.q):
-            acc = 0
-            for t, d in enumerate(base.digits(a)):
-                term = 0
-                for _ in range(d):
-                    term = ext.add(term, powers[t])
-                acc = ext.add(acc, term)
-            emb.append(acc)
-        self._emb = tuple(emb)
+                f"norm power of the GF({ext.q}) generator does not embed "
+                f"GF({base.q}) additively")
 
         self.basis = tuple(ext.pow(ext.generator, j) for j in range(m))
 
-        # columns of the change matrix are the GF(p)-digit vectors of
-        # emb(alpha^t) * basis_j; inverting it turns extension digits into
-        # coordinates over the subfield
-        n = ext.e
-        cols = []
-        for j in range(m):
-            for t in range(base.e):
-                # index p**t is the t-th power-basis element of the subfield
-                cols.append(ext.digits(ext.mul(self._emb[base.p ** t], self.basis[j])))
-        # reducing [M | I] over GF(p), M the change matrix, leaves
-        # [I | M^-1] exactly when every pivot lies in M's columns
-        aug = [[cols[c][r] for c in range(n)] + [int(r == c) for c in range(n)]
-               for r in range(n)]
-        reduced, pivots = _row_reduce(_field(base.p, 1), aug)
-        if pivots != list(range(n)):
-            raise InternalConsistencyError("power basis change matrix is singular")
-        self._inv_rows = tuple(tuple(r[n:]) for r in reduced)
-        self._expand_cache = [None] * ext.q
-
-    def _eval_base_modulus(self, x: int) -> int:
-        # base modulus coefficients live in the prime subfield, where element
-        # indices below p mean the same thing in both fields
-        acc = 0
-        for c in reversed(self.base.modulus):
-            acc = self.ext.add(self.ext.mul(acc, x), c)
-        return acc
+        # map every coordinate row y to sum_j emb(y_j) * g^j, adding the
+        # terms as GF(p) digits, then invert the map by indexing
+        rows = unpack_rows(np.arange(ext.q, dtype=np.uint64), base.q, m)
+        terms = np.where(rows > 0, exp[(logs[rows] + np.arange(m)) % order], 0)
+        digits = unpack_rows(terms.astype(np.uint64), base.p, ext.e).sum(axis=1)
+        images = pack_rows(digits % base.p, base.p).astype(np.int64)
+        if np.bincount(images, minlength=ext.q).max() != 1:
+            raise InternalConsistencyError("power basis coordinates are not a bijection")
+        self.coords = np.empty(ext.q, dtype=np.uint64)
+        self.coords[images] = np.arange(ext.q, dtype=np.uint64)
 
     def embed(self, a: int) -> int:
         """Image of a base-field element inside the extension."""
@@ -273,16 +232,7 @@ class Extension:
 
     def expand(self, x: int) -> tuple:
         """Coordinates of an extension element with respect to ``basis``."""
-        cached = self._expand_cache[x]
-        if cached is not None:
-            return cached
-        p = self.base.p
-        v = self.ext.digits(x)
-        y = [sum(r * d for r, d in zip(row, v)) % p for row in self._inv_rows]
-        e = self.base.e
-        coords = tuple(self.base.undigits(y[j * e:(j + 1) * e]) for j in range(self.m))
-        self._expand_cache[x] = coords
-        return coords
+        return tuple(unpack_row(int(self.coords[x]), self.base.q, self.m))
 
     def __repr__(self):
         return f"GF({self.base.q}^{self.m})"

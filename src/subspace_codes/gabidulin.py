@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import truncated_rank_sum
 from .errors import BudgetExceededError, InternalConsistencyError, InvalidParameterError
-from .fields import extension_field, field_of, linearized_eval, pack_rows, rref_rows
+from .fields import extension_field, field_of, pack_rows, rref_rows, unpack_rows
 
 DEFAULT_ENUM_BUDGET = 2 ** 24
 BUDGET_ENV_VAR = "SUBSPACE_ENUM_BUDGET"
@@ -81,8 +81,9 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
 
     With q = p^e, message t maps GF(p)-linearly to its word, digit i of t in
     base p scaling the basis word of message p^i.  Only those e*n*kappa basis
-    words are evaluated; the code is their GF(p)-span, built on base-p digit
-    arrays in message order and packed once.
+    words are built, read off the extension's coordinate table; the code is
+    their GF(p)-span, built on base-p digit arrays in message order and
+    packed once.
     """
     if not 1 <= delta <= k <= n:
         raise InvalidParameterError(
@@ -99,17 +100,14 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
 
     E = ext.ext
     p = base.p
-    points = ext.basis[:k]
-    # message p^i has coefficient f_(i // E.e) = p^(i % E.e), the index of a
-    # power basis element of GF(q^n) over GF(p), and every other one zero;
+    # message p^i, i = j*E.e + t, has the single coefficient f_j = x^t = g^t,
+    # whose value at the point g^r is g^(t + r*q^j): a lookup in coords.
     # acc holds the words of messages 0 .. p^i - 1 as base-p digits
+    logs = [[(t + r * pow(q, j, E.q - 1)) % (E.q - 1) for r in range(k)]
+            for j in range(kappa) for t in range(E.e)]
+    words = unpack_rows(ext.coords[np.array(E._exp)[logs]], p, n * base.e)
     acc = np.zeros((1, k, n * base.e), dtype=np.uint8)
-    for i in range(E.e * kappa):
-        coeffs = [0] * kappa
-        coeffs[i // E.e] = p ** (i % E.e)
-        word = np.array([[d for c in ext.expand(linearized_eval(coeffs, x, q, E))
-                          for d in base.digits(c)] for x in points],
-                        dtype=np.uint8)
+    for word in words:
         acc = np.concatenate([(acc + c * word) % p for c in range(p)])
 
     # entry c of a row has its base-p digits at positions c*e .. c*e + e - 1,

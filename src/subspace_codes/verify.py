@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .bounds import CdcParams
+from .bounds import CdcParams, check_distance
 from .construction import CDC, Subspace
 from .errors import BudgetExceededError, IncompatibleSpacesError, InvalidParameterError
 from .fields import RREF_CHUNK, field_of, packed_rank, rref_rows
@@ -245,8 +245,10 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
     ``expected_size``, and the measured minimum distance over the checked
     pairs is at least ``claimed_distance``.  A sampled distance can only
     refute the claim, never fully confirm it; the report says which mode
-    produced the number.
+    produced the number.  A claim that is not even and at least 2 raises
+    InvalidParameterError.
     """
+    check_distance(claimed_distance)
     t0 = time.perf_counter()
     notes = []
     stored = len(code)

@@ -159,6 +159,18 @@ def test_verify_overclaimed_distance_fails(capsys, tmp_path):
     assert "below claim" in out
 
 
+def test_verify_rejects_a_claim_that_is_no_distance(capsys, tmp_path):
+    out_path = tmp_path / "code.txt"
+    run(capsys, "construct", "--q", "2", "--n", "2", "--k", "2",
+        "--d", "2", "--s", "0", "--out", str(out_path))
+    for claim in ("0", "-2", "3"):
+        rc, out, err = run(capsys, "verify", "--in", str(out_path), "--d", claim)
+        assert rc == 2 and "even and >= 2" in err and "PASS" not in out
+    # a claim past anything the code could reach is still a plain FAIL
+    rc, out, _ = run(capsys, "verify", "--in", str(out_path), "--d", "100")
+    assert rc == 1 and "result FAIL" in out
+
+
 def test_verify_detects_flipped_free_digit(capsys, tmp_path):
     # flipping a free entry keeps the file well formed but turns the
     # member into a copy of another one: a verification failure
@@ -249,6 +261,20 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "25"
+
+
+def test_import_fills_no_cache():
+    # every CLI run pays for start-up, so importing the CLI builds no field,
+    # table or jump table before a command asks for one
+    probe = ("import subspace_codes.cli\n"
+             "from subspace_codes import fields, verify\n"
+             "caches = (fields._field, fields.field_of, fields.extension_field, "
+             "fields._tables, verify._lcg_jump)\n"
+             "print([c.cache_info().currsize for c in caches])")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 @pytest.mark.parametrize("exc", [InternalConsistencyError("round member lost rank"),

@@ -112,6 +112,13 @@ def test_reader_rejects_header_damage(tmp_path):
         ls[5] = "members=0"
         del ls[ls.index("--") + 1:]
 
+    def bare_distance(d):
+        # without a construction line only the header vouches for d
+        def mutate(ls):
+            ls[4] = f"d={d}"
+            ls.remove(next(l for l in ls if l.startswith("construction=")))
+        return mutate
+
     cases = [
         lambda ls: ls.__setitem__(1, "q=banana"),
         lambda ls: ls.__setitem__(1, "qq 2"),
@@ -124,6 +131,9 @@ def test_reader_rejects_header_damage(tmp_path):
         lambda ls: ls.remove("k=2"),             # missing key
         lambda ls: ls.__setitem__(5, "members=26"),  # declared != body
         lambda ls: ls.__setitem__(6, "construction=parallel n=9 n=2 s=0 s=0"),
+        bare_distance(-4),
+        bare_distance(7),
+        bare_distance(2 * 2 + 2),                # d/2 > k = 2
     ]
     for idx, mutate in enumerate(cases):
         path = corrupt(tmp_path, mutate, name=f"c{idx}.txt")

@@ -158,8 +158,9 @@ def test_gf16_arithmetic_vs_polynomial_oracle():
     modulus = f.modulus
     for a in range(16):
         for b in range(16):
-            expect = poly_mul_mod(f.digits(a), f.digits(b), modulus, 2)
-            assert f.digits(f.mul(a, b)) == list(expect)
+            expect = poly_mul_mod(unpack_row(a, 2, 4), unpack_row(b, 2, 4),
+                                  modulus, 2)
+            assert unpack_row(f.mul(a, b), 2, 4) == list(expect)
 
 
 # ---------------------------------------------------------------- extensions
@@ -202,6 +203,18 @@ def test_expand_combine_roundtrip():
         for coords in images:
             assert len(coords) == m
             assert all(0 <= c < q for c in coords)
+
+
+def test_expand_recombines_to_the_element():
+    """sum_j embed(y_j) * basis[j] over expand(x), in scalar arithmetic, is x."""
+    for q, m in EXTENSIONS:
+        ext = extension_field(q, m)
+        f = ext.ext
+        for x in range(f.q):
+            acc = 0
+            for y, b in zip(ext.expand(x), ext.basis):
+                acc = f.add(acc, f.mul(ext.embed(y), b))
+            assert acc == x, (q, m, x)
 
 
 def test_expand_is_subfield_linear():

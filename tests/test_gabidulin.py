@@ -69,7 +69,9 @@ def enumerated(q, n, k, delta):
     return gabidulin_enumerate(q, n, k, delta)
 
 
-@pytest.mark.parametrize("q, n, k, delta", GRID + [(7, 2, 2, 2)])
+# kappa >= 2 over fields with e > 1 pins the q^j exponent of the basis words
+@pytest.mark.parametrize("q, n, k, delta", GRID + [
+    (7, 2, 2, 2), (4, 2, 2, 1), (8, 2, 2, 1), (9, 2, 2, 1), (4, 3, 2, 1)])
 def test_every_word_matches_scalar_oracle(q, n, k, delta):
     code = gabidulin_enumerate(q, n, k, delta)
     assert code.codewords.dtype == np.uint64

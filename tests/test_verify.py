@@ -248,6 +248,13 @@ def test_reconcile_sampled_mode_and_unknown_mode():
         reconcile(code, 481, 2, mode="thorough")
 
 
+@pytest.mark.parametrize("claim", [0, -2, 3])
+def test_reconcile_rejects_a_claim_that_is_no_distance(claim):
+    code = lifted_code(2, 2, 2, 1)
+    with pytest.raises(InvalidParameterError, match="even and >= 2"):
+        reconcile(code, expected_size=16, claimed_distance=claim)
+
+
 def test_report_serializes_to_json():
     code = assemble_parallel(2, 2, 2, 2, 1)
     report = reconcile(code, 481, 2)
