@@ -90,6 +90,17 @@ def lift(word: MatrixGF, side: str = "left") -> Subspace:
 ROW_LIMIT = 2 ** 64
 
 
+def _member_keys(codes):
+    # one 64-bit multiply-xorshift hash per member: equal members get equal
+    # keys, and distinct_count compares rows wherever keys collide
+    keys = np.zeros(len(codes), dtype=np.uint64)
+    for col in codes.T:
+        keys ^= col
+        keys *= np.uint64(0x9E3779B97F4A7C15)
+        keys ^= keys >> np.uint64(29)
+    return keys
+
+
 @dataclass
 class CDC:
     """A constant-dimension code held as an (M, k) array of packed rows.
@@ -99,6 +110,12 @@ class CDC:
     sum(entry_c * q**c).  ``rounds`` is None or each member's round index as
     a 1-D np.uint16 array, when the code came out of assemble_parallel.
     Any sequence of row tuples is accepted and normalized here.
+
+    The rows are not checked here, but they must be canonical: the distance
+    scans clear each member's pivot columns from the other member's rows,
+    and distinct_count takes equal rows for equal subspaces.
+    assemble_parallel emits canonical rows, and read_code checks every
+    member of a code file.
     """
 
     q: int
@@ -131,11 +148,23 @@ class CDC:
         return len(self.codes)
 
     def distinct_count(self) -> int:
-        if len(self.codes) < 2:
-            return len(self.codes)
-        ordered = self.codes[np.lexsort(self.codes.T)]
-        return 1 + int(np.count_nonzero(
-            (ordered[1:] != ordered[:-1]).any(axis=1)))
+        """Number of distinct members, by one sort of a hash key per member.
+
+        Only members whose key repeats have their rows compared.
+        """
+        m = len(self.codes)
+        keys = _member_keys(self.codes)
+        ordered = np.sort(keys)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if not len(repeats):
+            return m
+        # the members whose key repeats, sorted by (key, rows): equal
+        # members are neighbours inside one key run
+        at = repeats.searchsorted(keys).clip(max=len(repeats) - 1)
+        clash = np.flatnonzero(repeats[at] == keys)
+        rows = self.codes[clash]
+        rows = rows[np.lexsort((*rows.T, keys[clash]))]
+        return m - int(np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)))
 
 
 def assemble_parallel(q: int, n: int, k: int, d: int, s: int,

@@ -441,8 +441,9 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The batched kernel behind every row reduction on the production path;
-# packed_rref and packed_rank above are its reference.
+# The batched kernels behind every row reduction on the production path:
+# rref_rows where canonical rows are needed, join_ranks where ranks are
+# enough.  packed_rref and packed_rank above are their reference.
 
 RREF_CHUNK = 1 << 11  # stacks per pass, which bounds the scratch arrays
 
@@ -508,3 +509,52 @@ def rref_rows(rows, q: int, width: int):
             _rref_binary(chunk.T.copy()).T if q == 2
             else _rref_digits(chunk, q, width))
     return np.count_nonzero(reduced, axis=1), reduced
+
+
+def _join_binary(heads, rows):
+    # heads (kU, B) and rows (kW, B); a canonical row's pivot is its lowest
+    # set bit, and clearing every head pivot from the rows leaves them
+    # independent of U, so forward elimination alone counts what they add.
+    # v * (bit set) is the masked row: a multiply is cheaper than np.where
+    for u in heads:
+        rows ^= u * ((rows & (u & -u)) != 0)
+    for t, v in enumerate(rows[:-1], 1):
+        rows[t:] ^= v * ((rows[t:] & (v & -v)) != 0)
+    return np.count_nonzero(rows, axis=0)
+
+
+def _join_digits(heads, rows, q: int, width: int):
+    # the same on (B, r, width) base-q digits: clear each head row's pivot
+    # column (its first nonzero digit, a 1) from the rows, then eliminate
+    # each row's leading column from the rows below it
+    mul, sub, inv = _tables(q)
+    u = unpack_rows(heads, q, width)
+    w = unpack_rows(rows, q, width)
+    at = np.arange(len(w))
+    for r in range(u.shape[1]):
+        c = (u[:, r] != 0).argmax(axis=1)
+        w = sub[w, mul[w[at, :, c][:, :, None], u[:, r, None, :]]]
+    for t in range(1, w.shape[1]):
+        v = w[:, t - 1]
+        c = (v != 0).argmax(axis=1)
+        v = mul[inv[v[at, c]][:, None], v]
+        w[:, t:] = sub[w[:, t:], mul[w[at, t:, c][:, :, None], v[:, None, :]]]
+    return np.count_nonzero(w.any(axis=2), axis=1)
+
+
+def join_ranks(heads, rows, q: int, width: int):
+    """What each stack of rows adds to the rank of its head rows.
+
+    ``heads`` is a (B, kU) and ``rows`` a (B, kW) uint64 array of rows of
+    GF(q)^width packed like those of :func:`rref_rows`.  ``heads[b]`` must
+    be canonical, the output rows of ``rref_rows`` (kU may be 0); the rows
+    are arbitrary.  Returns rank([heads[b]; rows[b]]) - rank(heads[b]) for
+    every b, without reducing anything to canonical form.
+    """
+    ranks = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), RREF_CHUNK):
+        head, chunk = heads[lo:lo + RREF_CHUNK], rows[lo:lo + RREF_CHUNK]
+        ranks[lo:lo + RREF_CHUNK] = (
+            _join_binary(head.T, chunk.T.copy()) if q == 2
+            else _join_digits(head, chunk, q, width))
+    return ranks

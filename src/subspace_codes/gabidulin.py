@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import truncated_rank_sum
 from .errors import BudgetExceededError, InternalConsistencyError, InvalidParameterError
-from .fields import extension_field, field_of, pack_rows, rref_rows, unpack_rows
+from .fields import extension_field, field_of, join_ranks, pack_rows, unpack_rows
 
 DEFAULT_ENUM_BUDGET = 2 ** 24
 BUDGET_ENV_VAR = "SUBSPACE_ENUM_BUDGET"
@@ -116,6 +116,12 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
                     pack_rows(acc, p))
 
 
+def _ranks(code: RankCode):
+    # the rank of each word is what its rows add to no head rows
+    words = code.codewords
+    return join_ranks(words[:, :0], words, code.spec.q, code.spec.n)
+
+
 def sq_filter(code: RankCode, max_rank: int) -> RankCode:
     """Keep the nonzero codewords of rank at most max_rank.
 
@@ -127,15 +133,14 @@ def sq_filter(code: RankCode, max_rank: int) -> RankCode:
     if not 0 <= max_rank <= k:
         raise InvalidParameterError(
             f"max_rank must lie in [0, {k}], got {max_rank}")
-    ranks, _ = rref_rows(code.codewords, code.spec.q, code.spec.n)
+    ranks = _ranks(code)
     keep = (ranks > 0) & (ranks <= max_rank)
     return RankCode(code.spec, code.codewords[keep])
 
 
 def empirical_rank_distribution(code: RankCode) -> dict:
     """Rank histogram of the stored codewords, as {rank: count}."""
-    ranks, _ = rref_rows(code.codewords, code.spec.q, code.spec.n)
-    counts = np.bincount(ranks)
+    counts = np.bincount(_ranks(code))
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import CdcParams, check_distance
 from .construction import CDC, Subspace
 from .errors import BudgetExceededError, IncompatibleSpacesError, InvalidParameterError
-from .fields import RREF_CHUNK, field_of, packed_rank, rref_rows
+from .fields import RREF_CHUNK, field_of, join_ranks, packed_rank
 
 PAIR_BUDGET_DEFAULT = 2 ** 28
 
@@ -112,13 +112,16 @@ def _vacuous_report(code: CDC, mode: str) -> DistanceReport:
 
 def _scan(code: CDC, blocks):
     # blocks yields (i, j) index arrays; the distance of a pair is
-    # 2 * (rank[U; W] - k), and the first pair at the minimum is the witness
+    # 2 * (rank[U; W] - k), twice what W adds to U, and the first pair at
+    # the minimum is the witness.  join_ranks clears U's pivot columns from
+    # W, so it relies on the member rows being canonical, which read_code
+    # checks for every code file
     best = witness = None
     for i, j in blocks:
-        stacked = np.concatenate([code.codes[i], code.codes[j]], axis=1)
-        ranks, _ = rref_rows(stacked, code.q, code.ambient)
-        t = int(ranks.argmin())
-        dist = 2 * (int(ranks[t]) - code.k)
+        added = join_ranks(code.codes.take(i, axis=0),
+                           code.codes.take(j, axis=0), code.q, code.ambient)
+        t = int(added.argmin())
+        dist = 2 * int(added[t])
         if best is None or dist < best:
             best, witness = dist, (int(i[t]), int(j[t]))
             if best == 0:

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command line surface, in process."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,8 +9,11 @@ import pytest
 
 from subspace_codes import cli
 from subspace_codes.cli import main
+from subspace_codes.codefile import read_code
+from subspace_codes.construction import Subspace
 from subspace_codes.errors import InternalConsistencyError
 from subspace_codes.gabidulin import BUDGET_ENV_VAR
+from subspace_codes.verify import subspace_distance
 
 
 def run(capsys, *argv):
@@ -187,6 +191,32 @@ def test_verify_detects_flipped_free_digit(capsys, tmp_path):
     assert rc == 1
     assert "result FAIL" in out
     assert "duplicate" in out
+
+
+def test_verify_witness_of_a_flipped_free_entry(capsys, tmp_path):
+    # a flipped free entry keeps every row canonical and every member
+    # distinct, but brings member 0 within distance 2 of another member;
+    # the witness is checked against the scalar distance of its two members
+    out_path = tmp_path / "code.txt"
+    run(capsys, "construct", "--q", "2", "--n", "4", "--k", "4",
+        "--d", "4", "--s", "0", "--out", str(out_path))
+    lines = out_path.read_text().splitlines()
+    i = lines.index("--") + 1
+    row = list(lines[i])
+    row[4] = "1" if row[4] == "0" else "0"
+    lines[i] = "".join(row)
+    out_path.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run(capsys, "verify", "--in", str(out_path), "--d", "4",
+                     "--mode", "exhaustive")
+    assert rc == 1
+    assert "result FAIL" in out and "duplicate" not in out
+    observed = int(re.search(r"observed distance (\d+)", out)[1])
+    a, b = map(int, re.search(r"witness pair \((\d+), (\d+)\)", out).groups())
+    code = read_code(out_path)
+    members = [Subspace(code.q, code.ambient, tuple(code.codes[t].tolist()))
+               for t in (a, b)]
+    assert a == 0
+    assert observed == subspace_distance(*members) == 2
 
 
 def test_verify_rejects_flipped_pivot_digit(capsys, tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from subspace_codes import construction
 from subspace_codes.bounds import block_cardinalities, parallel_lower_bound
 from subspace_codes.construction import (
     CDC,
@@ -236,6 +237,40 @@ def test_distinct_count_sees_injected_duplicate():
     code = CDC(base.q, base.ambient, base.k, base.d, rows)
     assert code.distinct_count() == len(set(map(tuple, code.codes.tolist())))
     assert code.distinct_count() == len(base) == len(code) - 1
+
+
+def distinct_by_set(code):
+    return len(set(map(tuple, code.codes.tolist())))
+
+
+def duplicated_codes():
+    """Codes with duplicates close together, far apart and repeated."""
+    base = assemble_parallel(2, 2, 2, 2, 1)
+    m = len(base)
+    far = np.concatenate([base.codes[-1:], base.codes, base.codes[:1]])
+    repeated = base.codes[np.arange(m) % 5]
+    q3 = assemble_parallel(3, 2, 2, 2, 0)
+    near = np.insert(q3.codes, 8, q3.codes[7], axis=0)
+    return [CDC(2, base.ambient, 2, 2, far),
+            CDC(2, base.ambient, 2, 2, repeated),
+            CDC(3, q3.ambient, 2, 2, near),
+            base, CDC(2, base.ambient, 2, 2, base.codes[:1]),
+            CDC(2, base.ambient, 2, 2, [])]
+
+
+def test_distinct_count_finds_duplicates_anywhere():
+    codes = duplicated_codes()
+    assert [c.distinct_count() for c in codes] == [481, 5, len(codes[2]) - 1,
+                                                   481, 1, 0]
+    assert [c.distinct_count() for c in codes] == [distinct_by_set(c)
+                                                   for c in codes]
+
+
+def test_distinct_count_compares_rows_when_every_key_collides(monkeypatch):
+    monkeypatch.setattr(construction, "_member_keys",
+                        lambda codes: np.zeros(len(codes), dtype=np.uint64))
+    for code in duplicated_codes():
+        assert code.distinct_count() == distinct_by_set(code)
 
 
 def test_cdc_rejects_rows_past_uint64():

@@ -18,6 +18,7 @@ from subspace_codes.fields import (
     Extension,
     extension_field,
     field_of,
+    join_ranks,
     linearized_eval,
     mat_rank,
     mat_rref,
@@ -435,6 +436,104 @@ def test_rref_rows_across_chunk_seams(q):
     rng = np.random.default_rng(q)
     stacks = rng.integers(0, q ** width, size=(2 * RREF_CHUNK + 3, r)).tolist()
     assert_matches_scalar(stacks, q, width)
+
+
+def assert_join_matches_scalar(heads, tails, q, width):
+    """join_ranks agrees with packed_rank stack by stack."""
+    f = field_of(q)
+    got = join_ranks(np.array(heads, dtype=np.uint64).reshape(len(heads), -1),
+                     np.array(tails, dtype=np.uint64), q, width)
+    assert got.shape == (len(tails),)
+    for b, (u, w) in enumerate(zip(heads, tails)):
+        want = packed_rank(u + w, f, width) - packed_rank(u, f, width)
+        assert int(got[b]) == want, (u, w)
+
+
+def combine(rows, coeffs, f, width):
+    """sum(c * row) over GF(q), on packed rows, by the scalar field."""
+    acc = [0] * width
+    for row, c in zip(rows, coeffs):
+        acc = [f.add(a, f.mul(c, v))
+               for a, v in zip(acc, unpack_row(row, f.q, width))]
+    return pack_row(acc, f.q)
+
+
+@st.composite
+def head_tail_stacks(draw):
+    q = draw(st.sampled_from((2, 3, 4, 9)))
+    f = field_of(q)
+    width = draw(st.one_of(st.just(WIDTH_LIMIT[q]),
+                           st.integers(1, WIDTH_LIMIT[q])))
+    top = q ** width - 1
+    k = draw(st.integers(1, 5))
+    kU = draw(st.integers(0, k))
+    heads, tails = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        # canonical heads, zero-padded to kU rows when the draw is dependent
+        drawn = [draw(st.one_of(st.just(top), st.integers(0, top)))
+                 for _ in range(kU)]
+        u = list(packed_rref(drawn, f, width))
+        u += [0] * (kU - len(u))
+        if u and draw(st.booleans()):
+            tails.append(u + [0] * (k - kU))  # a copy of U
+            heads.append(u)
+            continue
+        w = []
+        for t in range(k):
+            kind = draw(st.sampled_from(("zero", "fresh", "span", "head",
+                                         "repeat")))
+            if kind == "zero":
+                w.append(0)
+            elif kind == "span" and u:
+                coeffs = [draw(st.integers(0, q - 1)) for _ in u]
+                w.append(combine(u, coeffs, f, width))
+            elif kind == "head" and u:
+                w.append(u[draw(st.integers(0, len(u) - 1))])
+            elif kind == "repeat" and t:
+                w.append(w[draw(st.integers(0, t - 1))])
+            else:
+                w.append(draw(st.one_of(st.just(top), st.integers(0, top))))
+        heads.append(u)
+        tails.append(w)
+    return q, width, heads, tails
+
+
+@given(head_tail_stacks())
+@settings(max_examples=300, deadline=None)
+def test_join_ranks_matches_scalar_rank(case):
+    q, width, heads, tails = case
+    assert_join_matches_scalar(heads, tails, q, width)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_join_ranks_clears_a_pivot_in_the_last_column(q):
+    # the head's pivot is the top digit, bit 63 for q = 2
+    width = WIDTH_LIMIT[q]
+    f = field_of(q)
+    top = q ** (width - 1)
+    heads = [[top], [top], [top], [1]]
+    tails = [[top, (q - 1) * top + 1],
+             [combine([top], [q - 1], f, width), 0],
+             [q ** width - 1, top + 1],
+             [top, q ** width - 1]]
+    assert_join_matches_scalar(heads, tails, q, width)
+    added = join_ranks(np.array(heads, dtype=np.uint64),
+                       np.array(tails, dtype=np.uint64), q, width)
+    assert added.tolist() == [1, 0, 2, 2]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("stacks", [RREF_CHUNK - 1, RREF_CHUNK + 1])
+def test_join_ranks_across_chunk_seams(q, stacks):
+    # narrow rows, so heads lose rank; each tail is its own head plus one
+    # drawn row, so it adds at most 1 to its own head but more to another
+    width, kU = 4, 2
+    rng = np.random.default_rng(stacks + q)
+    _, heads = rref_rows(rng.integers(0, q ** width, size=(stacks, kU),
+                                      dtype=np.uint64), q, width)
+    drawn = rng.integers(0, q ** width, size=(stacks, 1), dtype=np.uint64)
+    tails = np.concatenate([heads, drawn], axis=1)
+    assert_join_matches_scalar(heads.tolist(), tails.tolist(), q, width)
 
 
 @st.composite
