@@ -24,7 +24,9 @@ groups of ``ambient`` base-q digit characters joined by ``|`` and ended by
 Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
 a stray digit, because every consumer downstream relies on members being
-honest k-dimensional subspaces in normal form.  Corruption that stays
+honest k-dimensional subspaces in normal form.  It reads the form off the
+decoded digits (leading digits 1, leading columns increasing and clear in
+the other rows) and reduces nothing.  Corruption that stays
 inside the format (a free entry changed to another field element) still
 loads, and then surfaces as a duplicate or a distance violation during
 verification rather than being repaired here.
@@ -40,7 +42,7 @@ import numpy as np
 from .bounds import CdcParams, block_cardinalities
 from .construction import CDC
 from .errors import CodeFileError, InvalidParameterError
-from .fields import SUPPORTED_Q, pack_rows, rref_rows, unpack_rows
+from .fields import SUPPORTED_Q, is_canonical, pack_rows, unpack_rows
 
 MAGIC = "subspace-code"
 VERSION = 1
@@ -103,7 +105,7 @@ def read_code(path) -> CDC:
     separators, rows not in canonical form) raise CodeFileError.
     Mathematical problems (duplicates, wrong distance) are the verifier's
     business and pass through silently here.  The body is decoded CHUNK
-    lines at a time.
+    lines at a time, and ``is_canonical`` checks each block's digits.
     """
     with open(path, "rb") as fh:
         # the body size check needs a file size, which a pipe does not have
@@ -179,13 +181,11 @@ def read_code(path) -> CDC:
                 raise CodeFileError(
                     f"member {lo + bad[0] + 1} is not {k} rows of {ambient} "
                     f"digits of GF({q}) joined by '|'")
-            rows = pack_rows(digits, q)
-            ranks, reduced = rref_rows(rows, q, ambient)
-            bad = np.flatnonzero((ranks != k) | (reduced != rows).any(axis=1))
+            bad = np.flatnonzero(~is_canonical(digits))
             if len(bad):
                 raise CodeFileError(
                     f"member {lo + bad[0] + 1} rows are not in canonical form")
-            codes[lo:lo + count] = rows
+            codes[lo:lo + count] = pack_rows(digits, q)
 
     rounds = None
     if construction is not None:

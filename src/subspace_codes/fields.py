@@ -232,6 +232,7 @@ class Extension:
 
     def expand(self, x: int) -> tuple:
         """Coordinates of an extension element with respect to ``basis``."""
+        check_element(self.ext, x)
         return tuple(unpack_row(int(self.coords[x]), self.base.q, self.m))
 
     def __repr__(self):
@@ -424,8 +425,6 @@ def packed_rank(rows, field: Field, width: int) -> int:
     if field.q == 2:
         return _rank_bits(list(rows))
     unpacked = [unpack_row(v, field.q, width) for v in rows]
-    if not unpacked:
-        return 0
     return len(_row_reduce(field, unpacked)[0])
 
 
@@ -434,16 +433,16 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
     if field.q == 2:
         return _rref_bits(list(rows))
     unpacked = [unpack_row(v, field.q, width) for v in rows]
-    if not unpacked:
-        return ()
     reduced, _ = _row_reduce(field, unpacked)
     return tuple(pack_row(r, field.q) for r in reduced)
 
 
 # ---------------------------------------------------------------------------
 # The batched kernels behind every row reduction on the production path:
-# rref_rows where canonical rows are needed, join_ranks where ranks are
-# enough.  packed_rref and packed_rank above are their reference.
+# rref_rows where canonical rows are needed and join_ranks where ranks are
+# enough, both driven by _eliminate over one pivot-clearing step per row
+# representation; is_canonical checks stored rows without reducing them.
+# packed_rref and packed_rank above are their reference.
 
 RREF_CHUNK = 1 << 11  # stacks per pass, which bounds the scratch arrays
 
@@ -457,41 +456,38 @@ def _tables(q: int):
     return mul, sub, inv
 
 
-def _rref_binary(rows):
-    # rows is (r, B), so row t of every stack is one contiguous vector
-    zero = np.uint64(0)
-    for t, v in enumerate(rows):
-        for u in rows[:t]:
-            v ^= np.where(v & (u & -u), u, zero)
-        low = v & -v
-        for u in rows[:t]:
-            u ^= np.where(u & low, v, zero)
-    # each nonzero row now owns its lowest set bit, the pivot; zero rows last
-    key = np.where(rows, rows & -rows, ~zero)
-    return np.take_along_axis(rows, key.argsort(axis=0), axis=0)
+def _clear_binary(v, rows):
+    # v (B,) and rows (n, B) packed bits, v's pivot its lowest set bit;
+    # v * (bit set) is the masked row, cheaper than np.where
+    rows ^= v * ((rows & (v & -v)) != 0)
 
 
-def _rref_digits(rows, q: int, width: int):
-    # reduce the (B, r, width) base-q digits column by column, then repack
-    mul, sub, inv = _tables(q)
-    digits = unpack_rows(rows, q, width)
-    rank = np.zeros(len(rows), dtype=np.int64)
-    slot = np.arange(rows.shape[1])
-    for c in range(width):
-        cand = (digits[:, :, c] != 0) & (slot >= rank[:, None])
-        idx = np.flatnonzero(cand.any(axis=1))
-        sel, at, top = digits[idx], np.arange(len(idx)), rank[idx]
-        piv = cand[idx].argmax(axis=1)
-        prow = sel[at, piv]
-        sel[at, piv] = sel[at, top]
-        prow = mul[inv[prow[:, c]][:, None], prow]
-        factors = sel[:, :, c].copy()
-        factors[at, top] = 0
-        sel = sub[sel, mul[factors[:, :, None], prow[:, None, :]]]
-        sel[at, top] = prow
-        digits[idx] = sel
-        rank[idx] += 1
-    return pack_rows(digits, q)
+def _clear_digits(v, c, rows, mul, sub):
+    # v (B, width) monic digit rows leading at columns c, rows (n, B, width)
+    rows[...] = sub[rows, mul[rows[:, np.arange(len(v)), c][:, :, None], v]]
+
+
+def _eliminate(rows, q: int, reduce: bool):
+    # rows is (r, B) packed bits for q = 2 and (r, B, width) digits
+    # otherwise, so row t of every stack is one contiguous block.  Row t,
+    # already clear of the pivots above it, is made monic and clears its
+    # pivot from the rows below it, and with reduce from those above it
+    # too: single-pass Gauss-Jordan.  No clearing moves a leading column.
+    # Empty parts are skipped: each call costs a few numpy dispatches.
+    if q > 2:
+        mul, sub, inv = _tables(q)
+        at = np.arange(rows.shape[1])
+    for t in range(len(rows) if reduce else len(rows) - 1):
+        v, parts = rows[t], (rows[t + 1:], rows[:t]) if reduce else (rows[t + 1:],)
+        if q == 2:
+            for part in filter(len, parts):
+                _clear_binary(v, part)
+            continue
+        c = (v != 0).argmax(axis=1)
+        v[...] = mul[inv[v[at, c]][:, None], v]
+        for part in filter(len, parts):
+            _clear_digits(v, c, part, mul, sub)
+    return rows
 
 
 def rref_rows(rows, q: int, width: int):
@@ -504,42 +500,17 @@ def rref_rows(rows, q: int, width: int):
     """
     reduced = np.empty_like(rows)
     for lo in range(0, len(rows), RREF_CHUNK):
-        chunk = rows[lo:lo + RREF_CHUNK]
-        reduced[lo:lo + RREF_CHUNK] = (
-            _rref_binary(chunk.T.copy()).T if q == 2
-            else _rref_digits(chunk, q, width))
+        out = rows[lo:lo + RREF_CHUNK].T.copy()
+        if q == 2:
+            out = _eliminate(out, q, True)
+            key = np.where(out, out & -out, ~np.uint64(0))
+        else:
+            digits = _eliminate(unpack_rows(out, q, width), q, True)
+            nonzero, out = digits != 0, pack_rows(digits, q)
+            key = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), width)
+        reduced[lo:lo + RREF_CHUNK] = np.take_along_axis(
+            out, key.argsort(axis=0), axis=0).T
     return np.count_nonzero(reduced, axis=1), reduced
-
-
-def _join_binary(heads, rows):
-    # heads (kU, B) and rows (kW, B); a canonical row's pivot is its lowest
-    # set bit, and clearing every head pivot from the rows leaves them
-    # independent of U, so forward elimination alone counts what they add.
-    # v * (bit set) is the masked row: a multiply is cheaper than np.where
-    for u in heads:
-        rows ^= u * ((rows & (u & -u)) != 0)
-    for t, v in enumerate(rows[:-1], 1):
-        rows[t:] ^= v * ((rows[t:] & (v & -v)) != 0)
-    return np.count_nonzero(rows, axis=0)
-
-
-def _join_digits(heads, rows, q: int, width: int):
-    # the same on (B, r, width) base-q digits: clear each head row's pivot
-    # column (its first nonzero digit, a 1) from the rows, then eliminate
-    # each row's leading column from the rows below it
-    mul, sub, inv = _tables(q)
-    u = unpack_rows(heads, q, width)
-    w = unpack_rows(rows, q, width)
-    at = np.arange(len(w))
-    for r in range(u.shape[1]):
-        c = (u[:, r] != 0).argmax(axis=1)
-        w = sub[w, mul[w[at, :, c][:, :, None], u[:, r, None, :]]]
-    for t in range(1, w.shape[1]):
-        v = w[:, t - 1]
-        c = (v != 0).argmax(axis=1)
-        v = mul[inv[v[at, c]][:, None], v]
-        w[:, t:] = sub[w[:, t:], mul[w[at, t:, c][:, :, None], v[:, None, :]]]
-    return np.count_nonzero(w.any(axis=2), axis=1)
 
 
 def join_ranks(heads, rows, q: int, width: int):
@@ -551,10 +522,37 @@ def join_ranks(heads, rows, q: int, width: int):
     are arbitrary.  Returns rank([heads[b]; rows[b]]) - rank(heads[b]) for
     every b, without reducing anything to canonical form.
     """
+    # a canonical head row is monic and leads at its pivot; clearing every
+    # head pivot from the rows leaves them independent of the heads, so
+    # forward elimination alone counts what they add
     ranks = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), RREF_CHUNK):
-        head, chunk = heads[lo:lo + RREF_CHUNK], rows[lo:lo + RREF_CHUNK]
-        ranks[lo:lo + RREF_CHUNK] = (
-            _join_binary(head.T, chunk.T.copy()) if q == 2
-            else _join_digits(head, chunk, q, width))
+        head = heads[lo:lo + RREF_CHUNK].T.copy()
+        w = rows[lo:lo + RREF_CHUNK].T.copy()
+        if q == 2:
+            for u in head:
+                _clear_binary(u, w)
+        else:
+            mul, sub, _ = _tables(q)
+            w = unpack_rows(w, q, width)
+            for u in unpack_rows(head, q, width):
+                _clear_digits(u, (u != 0).argmax(axis=1), w, mul, sub)
+        w = _eliminate(w, q, False)
+        ranks[lo:lo + RREF_CHUNK] = np.count_nonzero(
+            w if q == 2 else w.any(axis=2), axis=0)
     return ranks
+
+
+def is_canonical(digits):
+    """Which (B, k, width) stacks of base-q digits are canonical rows.
+
+    Stack b is its own ``rref_rows`` output at rank k exactly when each
+    row's leading digit is 1, the leading columns strictly increase and
+    every leading column is zero in the other rows: no reduction needed.
+    """
+    lead = (digits != 0).argmax(axis=2)
+    # pivots[b, i, j] is row j's digit in row i's leading column; a zero
+    # row leads at column 0 with digit 0, so it fails the identity test
+    pivots = digits.transpose(0, 2, 1)[np.arange(len(digits))[:, None], lead]
+    return ((pivots == np.eye(digits.shape[1], dtype=digits.dtype)).all(axis=(1, 2))
+            & (np.diff(lead, axis=1) > 0).all(axis=1))

@@ -248,10 +248,15 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
     ``expected_size``, and the measured minimum distance over the checked
     pairs is at least ``claimed_distance``.  A sampled distance can only
     refute the claim, never fully confirm it; the report says which mode
-    produced the number.  A claim that is not even and at least 2 raises
-    InvalidParameterError.
+    produced the number.  A claim that is not even and at least 2, an
+    unknown mode and, in sampled mode, fewer than 1 sample each raise
+    InvalidParameterError before anything is measured.
     """
     check_distance(claimed_distance)
+    if mode not in ("exhaustive", "sampled"):
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise InvalidParameterError(f"samples must be positive, got {samples}")
     t0 = time.perf_counter()
     notes = []
     stored = len(code)
@@ -261,12 +266,8 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
     if distinct != expected_size:
         notes.append(f"distinct size {distinct} != expected {expected_size}")
 
-    if mode == "exhaustive":
-        report = min_distance_exhaustive(code)
-    elif mode == "sampled":
-        report = min_distance_sampled(code, samples, seed)
-    else:
-        raise InvalidParameterError(f"unknown mode {mode!r}")
+    report = (min_distance_exhaustive(code) if mode == "exhaustive"
+              else min_distance_sampled(code, samples, seed))
     if report.topup_found < report.topup_requested:
         notes.append(f"stratified top-up found {report.topup_found} of "
                      f"{report.topup_requested} cross-round pairs")

@@ -10,7 +10,7 @@ import pytest
 from subspace_codes.codefile import CHUNK, read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
 from subspace_codes.errors import CodeFileError
-from subspace_codes.fields import RREF_CHUNK, unpack_row
+from subspace_codes.fields import unpack_row
 
 
 def roundtrip(tmp_path, code, name="code.txt"):
@@ -215,16 +215,16 @@ def test_reader_rejects_noncanonical_rows(tmp_path):
 
 
 def test_reader_names_noncanonical_member_past_first_chunk(tmp_path):
-    """The canonical-form check runs over the whole body at once; the error
+    """The canonical-form check runs once per CHUNK of members; the error
     still names the first bad member, here one past the first chunk."""
     base = assemble_parallel(2, 2, 2, 2, 1)
-    reps = -(-(RREF_CHUNK + 100) // len(base))
+    reps = -(-(CHUNK + 100) // len(base))
     code = CDC(base.q, base.ambient, base.k, base.d,
                np.tile(base.codes, (reps, 1)))
     path = tmp_path / "c.txt"
     write_code(code, path)
     lines = path.read_text().splitlines()
-    bad = RREF_CHUNK + 50  # 0-based member index
+    bad = CHUNK + 50  # 0-based member index
     i = lines.index("--") + 1 + bad
     # swapping the two rows breaks the pivot order
     lines[i] = "|".join(reversed(lines[i].split("|")))
@@ -233,10 +233,11 @@ def test_reader_names_noncanonical_member_past_first_chunk(tmp_path):
         read_code(path)
 
 
-def test_reader_accepts_in_format_tampering(tmp_path):
+@pytest.mark.parametrize("q", [2, 3])
+def test_reader_accepts_in_format_tampering(tmp_path, q):
     """Changing a free (non-pivot) entry keeps the member canonical; the
     file loads and the change becomes the verifier's problem."""
-    code = assemble_parallel(2, 2, 2, 2, 0)
+    code = assemble_parallel(q, 2, 2, 2, 0)
     path = tmp_path / "c.txt"
     write_code(code, path)
     lines = path.read_text().splitlines()
@@ -245,7 +246,7 @@ def test_reader_accepts_in_format_tampering(tmp_path):
     # round-0 members are [I | A]: columns at and past k are free
     body = list(orig)
     idx = 2  # column 2 of row 0
-    body[idx] = "1" if body[idx] == "0" else "0"
+    body[idx] = str((int(body[idx]) + 1) % q)
     lines[i] = "".join(body)
     path.write_text("\n".join(lines) + "\n")
     back = read_code(path)
@@ -333,6 +334,29 @@ def damage_member(tmp_path, offset, byte, name):
 def test_reader_names_damaged_member_past_first_chunk(tmp_path, offset, byte):
     path = damage_member(tmp_path, offset, byte, f"d{offset}.txt")
     with pytest.raises(CodeFileError, match=rf"member {CHUNK + 51} "):
+        read_code(path)
+
+
+@pytest.mark.parametrize("damage", ["leading-two", "pivot-column"])
+def test_reader_names_noncanonical_q3_member_past_first_chunk(tmp_path,
+                                                              damage):
+    """Over GF(3) a row can lead with 2, or another row can reach into its
+    pivot column, and still be valid digits; both break canonical form."""
+    code = tiled(3, CHUNK + 100)
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    lines = path.read_text().splitlines()
+    bad = CHUNK + 50  # 0-based member index
+    i = lines.index("--") + 1 + bad
+    rows = [list(row) for row in lines[i].split("|")]
+    lead = next(c for c, ch in enumerate(rows[0]) if ch != "0")
+    if damage == "leading-two":
+        rows[0][lead] = "2"
+    else:
+        rows[1][lead] = "1"
+    lines[i] = "|".join("".join(row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CodeFileError, match=rf"member {bad + 1} rows"):
         read_code(path)
 
 

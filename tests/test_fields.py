@@ -18,6 +18,7 @@ from subspace_codes.fields import (
     Extension,
     extension_field,
     field_of,
+    is_canonical,
     join_ranks,
     linearized_eval,
     mat_rank,
@@ -216,6 +217,15 @@ def test_expand_recombines_to_the_element():
             for y, b in zip(ext.expand(x), ext.basis):
                 acc = f.add(acc, f.mul(ext.embed(y), b))
             assert acc == x, (q, m, x)
+
+
+def test_expand_rejects_non_elements():
+    """expand refuses indices outside GF(q^m), like embed for GF(q)."""
+    for q, m in [(2, 3), (3, 2), (4, 2), (9, 1)]:
+        ext = extension_field(q, m)
+        for x in (-1, ext.ext.q):
+            with pytest.raises(InvalidElementError):
+                ext.expand(x)
 
 
 def test_expand_is_subfield_linear():
@@ -429,7 +439,7 @@ def test_rref_rows_matches_scalar_kernels(case):
     assert_matches_scalar(stacks, q, width)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_rref_rows_across_chunk_seams(q):
     # narrow rows, so the ranks vary and dependent stacks are common
     width, r = 3, 4
@@ -522,7 +532,7 @@ def test_join_ranks_clears_a_pivot_in_the_last_column(q):
     assert added.tolist() == [1, 0, 2, 2]
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 @pytest.mark.parametrize("stacks", [RREF_CHUNK - 1, RREF_CHUNK + 1])
 def test_join_ranks_across_chunk_seams(q, stacks):
     # narrow rows, so heads lose rank; each tail is its own head plus one
@@ -534,6 +544,58 @@ def test_join_ranks_across_chunk_seams(q, stacks):
     drawn = rng.integers(0, q ** width, size=(stacks, 1), dtype=np.uint64)
     tails = np.concatenate([heads, drawn], axis=1)
     assert_join_matches_scalar(heads.tolist(), tails.tolist(), q, width)
+
+
+@st.composite
+def digit_stacks(draw):
+    """Stacks of k digit rows: packed_rref output, mostly then damaged."""
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    f = field_of(q)
+    width = draw(st.one_of(st.just(WIDTH_LIMIT[q]),
+                           st.integers(1, WIDTH_LIMIT[q])))
+    top = q ** width - 1
+    k = draw(st.integers(1, min(width, 6)))
+    stacks = []
+    for _ in range(draw(st.integers(1, 4))):
+        drawn = [draw(st.one_of(st.just(top), st.integers(0, top)))
+                 for _ in range(k)]
+        # a dependent draw leaves zero rows at the bottom
+        rows = [unpack_row(v, q, width) for v in packed_rref(drawn, f, width)]
+        rows += [[0] * width for _ in range(k - len(rows))]
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        lead = next((c for c, d in enumerate(rows[i]) if d), None)
+        kind = draw(st.sampled_from(("canonical", "leading-digit",
+                                     "pivot-column", "swap", "zero",
+                                     "repeat", "random")))
+        if kind == "leading-digit" and lead is not None and q > 2:
+            rows[i][lead] = draw(st.integers(2, q - 1))
+        elif kind == "pivot-column" and lead is not None and i != j:
+            rows[j][lead] = draw(st.integers(1, q - 1))
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "zero":
+            rows[i] = [0] * width
+        elif kind == "repeat":
+            rows[j] = list(rows[i])
+        elif kind == "random":
+            rows = [[draw(st.integers(0, q - 1)) for _ in range(width)]
+                    for _ in range(k)]
+        stacks.append(rows)
+    return q, width, stacks
+
+
+@given(digit_stacks())
+@settings(max_examples=300, deadline=None)
+def test_is_canonical_matches_scalar_rref(case):
+    """A stack is canonical exactly when packed_rref returns it at rank k."""
+    q, width, stacks = case
+    f = field_of(q)
+    got = is_canonical(np.array(stacks, dtype=np.uint8))
+    assert got.dtype == bool and got.shape == (len(stacks),)
+    for b, rows in enumerate(stacks):
+        packed = [pack_row(r, q) for r in rows]
+        # equality leaves no room for zero rows, so the rank is k
+        assert bool(got[b]) == (packed_rref(packed, f, width) == tuple(packed)), rows
 
 
 @st.composite

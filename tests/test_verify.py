@@ -248,6 +248,22 @@ def test_reconcile_sampled_mode_and_unknown_mode():
         reconcile(code, 481, 2, mode="thorough")
 
 
+def test_reconcile_checks_mode_and_samples_before_measuring(monkeypatch):
+    code = assemble_parallel(2, 2, 2, 2, 1)
+
+    def measured(self):
+        raise AssertionError("distinct_count ran")
+
+    monkeypatch.setattr(CDC, "distinct_count", measured)
+    with pytest.raises(InvalidParameterError, match="unknown mode"):
+        reconcile(code, 481, 2, mode="thorough")
+    with pytest.raises(InvalidParameterError, match="samples must be positive"):
+        reconcile(code, 481, 2, mode="sampled", samples=0)
+    # exhaustive mode ignores the sample count and goes on to measure
+    with pytest.raises(AssertionError, match="distinct_count ran"):
+        reconcile(code, 481, 2, mode="exhaustive", samples=0)
+
+
 @pytest.mark.parametrize("claim", [0, -2, 3])
 def test_reconcile_rejects_a_claim_that_is_no_distance(claim):
     code = lifted_code(2, 2, 2, 1)
