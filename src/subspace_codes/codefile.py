@@ -55,6 +55,21 @@ def _separators(k: int) -> np.ndarray:
     return np.frombuffer(b"|" * (k - 1) + b"\n", dtype=np.uint8)
 
 
+def _byte_check(q: int, ambient: int, k: int):
+    """The (offset, span) rows of a member line's k * (ambient + 1) bytes.
+
+    A line minus ``offset`` (uint8, so bytes below it wrap high) is its
+    digits with 0 at every separator; the line is well formed exactly when
+    no byte of that difference exceeds ``span``: q - 1 at a digit, 0 at a
+    separator.
+    """
+    offset = np.full((k, ambient + 1), ord("0"), dtype=np.uint8)
+    offset[:, ambient] = _separators(k)
+    span = np.full((k, ambient + 1), q - 1, dtype=np.uint8)
+    span[:, ambient] = 0
+    return offset, span
+
+
 def write_code(code: CDC, path) -> None:
     """Serialize a code; the inverse of read_code up to round labels."""
     q, ambient, k = code.q, code.ambient, code.k
@@ -64,14 +79,15 @@ def write_code(code: CDC, path) -> None:
     if p is not None and p.n is not None:
         header.append(f"construction=parallel n={p.n} s={p.s}")
     header.append("--")
+    out = np.empty((min(CHUNK, len(code)), k, ambient + 1), dtype=np.uint8)
+    out[:, :, ambient] = _separators(k)
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for lo in range(0, len(code), CHUNK):
             chunk = code.codes[lo:lo + CHUNK]
-            out = np.empty((len(chunk), k, ambient + 1), dtype=np.uint8)
-            out[:, :, :ambient] = unpack_rows(chunk, q, ambient) + ord("0")
-            out[:, :, ambient] = _separators(k)
-            fh.write(out.tobytes())
+            np.add(unpack_rows(chunk, q, ambient), ord("0"),
+                   out=out[:len(chunk), :, :ambient])
+            fh.write(out[:len(chunk)])
 
 
 def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
@@ -105,7 +121,8 @@ def read_code(path) -> CDC:
     separators, rows not in canonical form) raise CodeFileError.
     Mathematical problems (duplicates, wrong distance) are the verifier's
     business and pass through silently here.  The body is decoded CHUNK
-    lines at a time, and ``is_canonical`` checks each block's digits.
+    lines at a time: one byte check against ``_byte_check``'s rows, then
+    ``is_canonical`` on the block's digits.
     """
     with open(path, "rb") as fh:
         # the body size check needs a file size, which a pipe does not have
@@ -168,19 +185,19 @@ def read_code(path) -> CDC:
                 f"header declares {members} members of {line_len} bytes "
                 f"each, body has {body} bytes")
         codes = np.empty((members, k), dtype=np.uint64)
-        sep = _separators(k)
+        offset, span = _byte_check(q, ambient, k)
         for lo in range(0, members, CHUNK):
             count = min(CHUNK, members - lo)
             block = np.frombuffer(fh.read(count * line_len),
                                   dtype=np.uint8).reshape(count, k, -1)
-            # bytes below "0" wrap past q as well
-            digits = block[:, :, :ambient] - np.uint8(ord("0"))
-            bad = np.flatnonzero((digits >= q).any(axis=(1, 2))
-                                 | (block[:, :, ambient] != sep).any(axis=1))
-            if len(bad):
+            block = block - offset
+            bad = block > span
+            if bad.any():
+                first = np.flatnonzero(bad.any(axis=(1, 2)))[0]
                 raise CodeFileError(
-                    f"member {lo + bad[0] + 1} is not {k} rows of {ambient} "
+                    f"member {lo + first + 1} is not {k} rows of {ambient} "
                     f"digits of GF({q}) joined by '|'")
+            digits = block[:, :, :ambient]
             bad = np.flatnonzero(~is_canonical(digits))
             if len(bad):
                 raise CodeFileError(

@@ -175,9 +175,10 @@ def field_of(q: int) -> Field:
 
 
 def check_element(field: Field, a: int, what: str = "element") -> int:
-    if not isinstance(a, int) or not 0 <= a < field.q:
+    """``a`` as a Python int, if it is an integer index into ``field``."""
+    if not isinstance(a, (int, np.integer)) or not 0 <= a < field.q:
         raise InvalidElementError(f"{what} {a!r} is not an index into {field!r}")
-    return a
+    return int(a)
 
 
 class Extension:
@@ -227,12 +228,11 @@ class Extension:
 
     def embed(self, a: int) -> int:
         """Image of a base-field element inside the extension."""
-        check_element(self.base, a)
-        return self._emb[a]
+        return self._emb[check_element(self.base, a)]
 
     def expand(self, x: int) -> tuple:
         """Coordinates of an extension element with respect to ``basis``."""
-        check_element(self.ext, x)
+        x = check_element(self.ext, x)
         return tuple(unpack_row(int(self.coords[x]), self.base.q, self.m))
 
     def __repr__(self):
@@ -256,10 +256,10 @@ def linearized_eval(coeffs, x: int, q: int, field: Field) -> int:
     if t != field.q or q < 2:
         raise IncompatibleFieldError(
             f"order of {field!r} is not a power of q={q}")
-    check_element(field, x, "evaluation point")
+    x = check_element(field, x, "evaluation point")
     acc = 0
     for j, c in enumerate(coeffs):
-        check_element(field, c, "coefficient")
+        c = check_element(field, c, "coefficient")
         if c:
             acc = field.add(acc, field.mul(c, field.pow(x, q ** j)))
     return acc
@@ -380,8 +380,15 @@ def unpack_row(value: int, q: int, width: int) -> list:
 
 def unpack_rows(rows, q: int, width: int) -> np.ndarray:
     """unpack_row over a uint64 array: a trailing axis of uint8 digits."""
-    powers = np.uint64(q) ** np.arange(width, dtype=np.uint64)
-    return (rows[..., None] // powers % np.uint64(q)).astype(np.uint8)
+    # one floor division by the scalar q per digit; numpy has a fast loop
+    # for a scalar divisor and none for an array of powers
+    digits = np.empty(rows.shape + (width,), dtype=np.uint8)
+    base = np.uint64(q)
+    for c in range(width):
+        rest = rows // base
+        digits[..., c] = rows - rest * base
+        rows = rest
+    return digits
 
 
 def pack_rows(digits, q: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -44,10 +43,12 @@ def lcg_stream(seed: int):
 @lru_cache(maxsize=None)
 def _lcg_jump():
     # word t after state x is (a_t x + c_t) mod 2^64, for t = 1..2*RREF_CHUNK:
-    # c_t is word t after 0 and a_t + c_t word t after 1 (uint64 arrays wrap)
+    # a_t = A^t and c_t = C (1 + A + ... + A^(t-1)); uint64 arrays wrap, and
+    # every operand stays uint64 so that nothing is promoted to float
     n = 2 * RREF_CHUNK
-    c = np.fromiter(islice(lcg_stream(0), n), dtype=np.uint64, count=n)
-    a = np.fromiter(islice(lcg_stream(1), n), dtype=np.uint64, count=n) - c
+    a = np.multiply.accumulate(np.full(n, LCG_MULTIPLIER, dtype=np.uint64))
+    powers = np.concatenate([np.ones(1, dtype=np.uint64), a[:-1]])
+    c = np.cumsum(powers, dtype=np.uint64) * np.uint64(LCG_INCREMENT)
     return a, c
 
 

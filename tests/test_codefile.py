@@ -10,7 +10,7 @@ import pytest
 from subspace_codes.codefile import CHUNK, read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
 from subspace_codes.errors import CodeFileError
-from subspace_codes.fields import unpack_row
+from subspace_codes.fields import SUPPORTED_Q, unpack_row
 
 
 def roundtrip(tmp_path, code, name="code.txt"):
@@ -294,33 +294,37 @@ def test_reader_rejects_non_ascii_bytes(tmp_path):
             read_code(bad)
 
 
-def tiled(q, members):
+def tiled(q, members, s=1):
     """A code of exactly ``members`` members, repeating a small code's rows."""
-    base = assemble_parallel(q, 2, 2, 2, 1)
+    base = assemble_parallel(q, 2, 2, 2, s)
     reps = -(-members // len(base))
     return CDC(q, base.ambient, base.k, base.d,
                np.tile(base.codes, (reps, 1))[:members])
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", SUPPORTED_Q)
 @pytest.mark.parametrize("members", [0, 1, CHUNK, CHUNK + 1])
 def test_roundtrip_at_chunk_seams(tmp_path, q, members):
-    code = tiled(q, members)
+    # (q, 2, 2, 2, 1) has millions of members from q = 7 on
+    s = 1 if q <= 5 else 0
+    code = tiled(q, members, s)
     back = roundtrip(tmp_path, code)
-    assert (back.q, back.ambient, back.k, back.d) == (q, 6, 2, 2)
+    assert (back.q, back.ambient, back.k, back.d) == (q, 4 + 2 * s, 2, 2)
     assert back.codes.dtype == np.uint64 and back.codes.shape == (members, 2)
     assert np.array_equal(back.codes, code.codes)
 
 
-def damage_member(tmp_path, offset, byte, name):
-    """Overwrite one byte of member CHUNK + 50 (0-based) in a q = 2 file."""
+def damage_members(tmp_path, name, *damage):
+    """Overwrite bytes of a q = 2 file of CHUNK + 100 members; each damage
+    is (member, offset in its line, byte), the member 0-based."""
     code = tiled(2, CHUNK + 100)
     path = tmp_path / name
     write_code(code, path)
     data = bytearray(path.read_bytes())
     line_len = code.k * (code.ambient + 1)
-    at = data.index(b"--\n") + 3 + (CHUNK + 50) * line_len + offset
-    data[at] = byte
+    body = data.index(b"--\n") + 3
+    for member, offset, byte in damage:
+        data[body + member * line_len + offset] = byte
     path.write_bytes(bytes(data))
     return path
 
@@ -332,8 +336,23 @@ def damage_member(tmp_path, offset, byte, name):
     (1, 0xFF),        # a non-ASCII byte
 ])
 def test_reader_names_damaged_member_past_first_chunk(tmp_path, offset, byte):
-    path = damage_member(tmp_path, offset, byte, f"d{offset}.txt")
+    path = damage_members(tmp_path, f"d{offset}.txt", (CHUNK + 50, offset, byte))
     with pytest.raises(CodeFileError, match=rf"member {CHUNK + 51} "):
+        read_code(path)
+
+
+@pytest.mark.parametrize("digit_member, separator_member", [
+    (CHUNK + 20, CHUNK + 50),
+    (CHUNK + 50, CHUNK + 20),
+])
+def test_reader_names_lower_member_of_two_damage_kinds(
+        tmp_path, digit_member, separator_member):
+    """A bad digit and a bad separator in one block: the error names the
+    lower-numbered member, whichever kind of damage it has."""
+    path = damage_members(tmp_path, "two.txt", (digit_member, 3, ord("2")),
+                          (separator_member, 6, ord(",")))
+    first = min(digit_member, separator_member) + 1
+    with pytest.raises(CodeFileError, match=rf"member {first} is not"):
         read_code(path)
 
 

@@ -228,6 +228,24 @@ def test_expand_rejects_non_elements():
                 ext.expand(x)
 
 
+def test_numpy_integer_indices_are_accepted_as_ints():
+    """An index held in a numpy integer is as good as a Python int; a float
+    or an index outside the field is still refused."""
+    ext = extension_field(2, 3)
+    assert ext.embed(np.int64(1)) == ext.embed(1)
+    assert type(ext.embed(np.int64(1))) is int
+    assert ext.expand(np.int64(3)) == ext.expand(3)
+    assert ext.expand(np.uint64(3)) == ext.expand(3)
+    m = matrix(field_of(2), np.array([[1, 0], [0, 1]]))
+    assert m.to_lists() == [[1, 0], [0, 1]]
+    assert all(type(v) is int for v in m.entries)
+    for bad in (1.0, np.float64(1.0), "1", np.int64(8)):
+        with pytest.raises(InvalidElementError):
+            ext.expand(bad)
+    with pytest.raises(InvalidElementError):
+        matrix(field_of(2), np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_expand_is_subfield_linear():
     ext = extension_field(3, 2)
     f = ext.ext
@@ -620,6 +638,9 @@ def test_row_codec_matches_scalar_and_roundtrips(case):
     packed = pack_rows(digits, q)
     assert packed.dtype == np.uint64
     assert np.array_equal(packed, rows)
+    # a transposed view decodes like the rows it holds
+    assert np.array_equal(unpack_rows(rows.T, q, width),
+                          digits.transpose(1, 0, 2))
     for index, value in np.ndenumerate(rows):
         assert digits[index].tolist() == unpack_row(int(value), q, width)
         assert int(packed[index]) == pack_row(digits[index].tolist(), q)
