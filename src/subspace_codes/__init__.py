@@ -51,7 +51,6 @@ from .fields import (
 from .gabidulin import (
     DEFAULT_ENUM_BUDGET,
     RankCode,
-    RankCodeSpec,
     empirical_rank_distribution,
     gabidulin_enumerate,
     sq_filter,

@@ -15,11 +15,13 @@ File layout, all ASCII:
 
 The first line is the magic plus format version.  Header lines are
 ``key=value``; ``construction`` is optional and records how the code was
-assembled so round labels and the predicted size can be recovered.  Lines
-starting with ``#`` before the ``--`` separator are comments.  After the
-separator come exactly ``members`` lines of k * (ambient + 1) bytes: k
-groups of ``ambient`` base-q digit characters joined by ``|`` and ended by
-``\n``, row 0 first, column 0 as the leftmost digit of a group.
+assembled, so the predicted size can be recovered and the CDC can label
+its rounds.  Lines starting with ``#`` before the ``--`` separator are
+comments.  After the separator come exactly ``members`` lines of
+k * (ambient + 1) bytes: k groups of ``ambient`` base-q digit characters
+joined by ``|`` and ended by ``\n``, row 0 first, column 0 as the leftmost
+digit of a group.  ``_byte_check`` writes that line layout down once, for
+the writer and the reader.
 
 Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
@@ -39,32 +41,27 @@ import stat
 
 import numpy as np
 
-from .bounds import CdcParams, block_cardinalities
+from .bounds import CdcParams
 from .construction import CDC
 from .errors import CodeFileError, InvalidParameterError
-from .fields import SUPPORTED_Q, is_canonical, pack_rows, unpack_rows
+from .fields import CHUNK, SUPPORTED_Q, is_canonical, pack_rows, unpack_rows
 
 MAGIC = "subspace-code"
 VERSION = 1
-
-CHUNK = 1 << 11  # member lines encoded or decoded per numpy pass
-
-
-def _separators(k: int) -> np.ndarray:
-    """The byte after each row of a member line: "|", and "\\n" last."""
-    return np.frombuffer(b"|" * (k - 1) + b"\n", dtype=np.uint8)
 
 
 def _byte_check(q: int, ambient: int, k: int):
     """The (offset, span) rows of a member line's k * (ambient + 1) bytes.
 
-    A line minus ``offset`` (uint8, so bytes below it wrap high) is its
-    digits with 0 at every separator; the line is well formed exactly when
-    no byte of that difference exceeds ``span``: q - 1 at a digit, 0 at a
-    separator.
+    ``offset`` is the line of an all-zero member: "0" at every digit, "|"
+    after each row and "\\n" after the last.  A line is ``offset`` plus its
+    digits, so a line minus ``offset`` (uint8, so bytes below it wrap high)
+    is well formed exactly when no byte of that difference exceeds
+    ``span``: q - 1 at a digit, 0 at a separator.
     """
     offset = np.full((k, ambient + 1), ord("0"), dtype=np.uint8)
-    offset[:, ambient] = _separators(k)
+    offset[:, ambient] = ord("|")
+    offset[-1, ambient] = ord("\n")
     span = np.full((k, ambient + 1), q - 1, dtype=np.uint8)
     span[:, ambient] = 0
     return offset, span
@@ -79,13 +76,14 @@ def write_code(code: CDC, path) -> None:
     if p is not None and p.n is not None:
         header.append(f"construction=parallel n={p.n} s={p.s}")
     header.append("--")
-    out = np.empty((min(CHUNK, len(code)), k, ambient + 1), dtype=np.uint8)
-    out[:, :, ambient] = _separators(k)
+    offset = _byte_check(q, ambient, k)[0]
+    out = np.tile(offset, (min(CHUNK, len(code)), 1, 1))
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for lo in range(0, len(code), CHUNK):
             chunk = code.codes[lo:lo + CHUNK]
-            np.add(unpack_rows(chunk, q, ambient), ord("0"),
+            # offset is "0" at every digit: a scalar add, faster than the row
+            np.add(unpack_rows(chunk, q, ambient), offset[0, 0],
                    out=out[:len(chunk), :, :ambient])
             fh.write(out[:len(chunk)])
 
@@ -203,10 +201,4 @@ def read_code(path) -> CDC:
                 raise CodeFileError(
                     f"member {lo + bad[0] + 1} rows are not in canonical form")
             codes[lo:lo + count] = pack_rows(digits, q)
-
-    rounds = None
-    if construction is not None:
-        sizes = block_cardinalities(q, construction.n, k, d, construction.s)
-        if sum(sizes) == members:
-            rounds = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
-    return CDC(q, ambient, k, d, codes, rounds, construction)
+    return CDC(q, ambient, k, d, codes, params=construction)

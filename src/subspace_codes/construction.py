@@ -107,9 +107,10 @@ class CDC:
 
     ``codes`` is a C-contiguous np.uint64 array in construction order; row r
     of member i is ``codes[i, r]``, a canonical generator row packed as
-    sum(entry_c * q**c).  ``rounds`` is None or each member's round index as
-    a 1-D np.uint16 array, when the code came out of assemble_parallel.
-    Any sequence of row tuples is accepted and normalized here.
+    sum(entry_c * q**c).  Any sequence of row tuples is accepted and
+    normalized here.  ``params`` must agree with (q, ambient, k, d).
+    ``rounds`` is None or each member's round index, np.uint16 of shape (M,);
+    left out, it is read off ``params``' round sizes when they add up to M.
 
     The rows are not checked here, but they must be canonical: the distance
     scans clear each member's pivot columns from the other member's rows,
@@ -141,8 +142,21 @@ class CDC:
                 f"members must be {self.k} packed rows each, "
                 f"got an array of shape {codes.shape}")
         self.codes = np.ascontiguousarray(codes)
+        own, p = (self.q, self.ambient, self.k, self.d), self.params
+        if p is not None and (p.q, p.ambient, p.k, p.d) != own:
+            raise InvalidParameterError(
+                f"params (q, ambient, k, d) = {(p.q, p.ambient, p.k, p.d)} "
+                f"disagree with the code's {own}")
+        if self.rounds is None and p is not None and p.n is not None:
+            sizes = block_cardinalities(p.q, p.n, p.k, p.d, p.s)
+            if sum(sizes) == len(codes):  # uint16 throughout, no int64 temporary
+                self.rounds = np.arange(len(sizes), dtype=np.uint16).repeat(sizes)
         if self.rounds is not None:
             self.rounds = np.asarray(self.rounds, dtype=np.uint16)
+            if self.rounds.shape != (len(codes),):
+                raise InvalidParameterError(
+                    f"round labels must have shape ({len(codes)},), one per "
+                    f"member, got {self.rounds.shape}")
 
     def __len__(self):
         return len(self.codes)
@@ -185,7 +199,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
 
     # an empty code checks the row width before the round sizes, which grow
     # as q**n
-    code = CDC(q, ambient, k, d, (), params=params)
+    CDC(q, ambient, k, d, ())
     per_round = block_cardinalities(q, n, k, d, s)
     total = sum(per_round)
     allowed = resolve_enum_budget(budget)
@@ -194,7 +208,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
             f"construction has {total} members, over the budget of {allowed}; "
             f"pass a larger budget or set {BUDGET_ENV_VAR}")
 
-    codes = code.codes = np.empty((total, k), dtype=np.uint64)
+    codes = np.empty((total, k), dtype=np.uint64)
     full_kk = gabidulin_enumerate(q, k, k, delta, budget=allowed) if s else None
     sq_kk = checked_sq_filter(full_kk, k - delta) if s else None
     full_nk = gabidulin_enumerate(q, n, k, delta, budget=allowed)
@@ -235,6 +249,4 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     if counts != per_round or written != total:
         raise InternalConsistencyError(
             f"round sizes {counts} disagree with predicted {per_round}")
-
-    code.rounds = np.repeat(np.arange(len(counts), dtype=np.uint16), counts)
-    return code
+    return CDC(q, ambient, k, d, codes, params=params)

@@ -451,7 +451,7 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 # representation; is_canonical checks stored rows without reducing them.
 # packed_rref and packed_rank above are their reference.
 
-RREF_CHUNK = 1 << 11  # stacks per pass, which bounds the scratch arrays
+CHUNK = 1 << 11  # stacks, pairs or code-file lines per numpy pass
 
 
 @lru_cache(maxsize=None)
@@ -506,8 +506,8 @@ def rref_rows(rows, q: int, width: int):
     width)``, the canonical rows in pivot order, and the rest are zero.
     """
     reduced = np.empty_like(rows)
-    for lo in range(0, len(rows), RREF_CHUNK):
-        out = rows[lo:lo + RREF_CHUNK].T.copy()
+    for lo in range(0, len(rows), CHUNK):
+        out = rows[lo:lo + CHUNK].T.copy()
         if q == 2:
             out = _eliminate(out, q, True)
             key = np.where(out, out & -out, ~np.uint64(0))
@@ -515,7 +515,7 @@ def rref_rows(rows, q: int, width: int):
             digits = _eliminate(unpack_rows(out, q, width), q, True)
             nonzero, out = digits != 0, pack_rows(digits, q)
             key = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), width)
-        reduced[lo:lo + RREF_CHUNK] = np.take_along_axis(
+        reduced[lo:lo + CHUNK] = np.take_along_axis(
             out, key.argsort(axis=0), axis=0).T
     return np.count_nonzero(reduced, axis=1), reduced
 
@@ -533,9 +533,9 @@ def join_ranks(heads, rows, q: int, width: int):
     # head pivot from the rows leaves them independent of the heads, so
     # forward elimination alone counts what they add
     ranks = np.empty(len(rows), dtype=np.int64)
-    for lo in range(0, len(rows), RREF_CHUNK):
-        head = heads[lo:lo + RREF_CHUNK].T.copy()
-        w = rows[lo:lo + RREF_CHUNK].T.copy()
+    for lo in range(0, len(rows), CHUNK):
+        head = heads[lo:lo + CHUNK].T.copy()
+        w = rows[lo:lo + CHUNK].T.copy()
         if q == 2:
             for u in head:
                 _clear_binary(u, w)
@@ -545,7 +545,7 @@ def join_ranks(heads, rows, q: int, width: int):
             for u in unpack_rows(head, q, width):
                 _clear_digits(u, (u != 0).argmax(axis=1), w, mul, sub)
         w = _eliminate(w, q, False)
-        ranks[lo:lo + RREF_CHUNK] = np.count_nonzero(
+        ranks[lo:lo + CHUNK] = np.count_nonzero(
             w if q == 2 else w.any(axis=2), axis=0)
     return ranks
 

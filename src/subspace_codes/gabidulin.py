@@ -14,7 +14,7 @@ bigger than the resolved codeword budget raises instead of grinding.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,29 +42,25 @@ def resolve_enum_budget(budget: int | None = None) -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class RankCodeSpec:
-    """Shape of an evaluation code: k x n matrices over GF(q), min rank delta."""
+@dataclass
+class RankCode:
+    """Codewords of a k x n evaluation code over GF(q) of minimum rank delta.
+
+    ``codewords`` is a C-contiguous (W, k) np.uint64 array in a fixed
+    deterministic order: row r of word w is ``codewords[w, r]``, packed as
+    sum(entry_c * q**c) like the rows of a CDC.  ``cardinality`` is the size
+    of the complete evaluation code, also for a filtered subset.
+    """
 
     q: int
     n: int
     k: int
     delta: int
-    cardinality: int
-
-
-@dataclass
-class RankCode:
-    """Rank-metric codewords in a fixed deterministic order.
-
-    ``codewords`` is a C-contiguous (W, k) np.uint64 array: row r of word w
-    is ``codewords[w, r]``, packed as sum(entry_c * q**c) like the rows of a
-    CDC.  ``spec.cardinality`` is the size of the complete evaluation code,
-    also for a filtered subset.
-    """
-
-    spec: RankCodeSpec
     codewords: np.ndarray
+
+    @property
+    def cardinality(self) -> int:
+        return self.q ** (self.n * (self.k - self.delta + 1))
 
     def __len__(self):
         return len(self.codewords)
@@ -112,14 +108,13 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
 
     # entry c of a row has its base-p digits at positions c*e .. c*e + e - 1,
     # so the packed row sum(entry_c * q**c) is sum(digit_j * p**j)
-    return RankCode(RankCodeSpec(q, n, k, delta, cardinality),
-                    pack_rows(acc, p))
+    return RankCode(q, n, k, delta, pack_rows(acc, p))
 
 
 def _ranks(code: RankCode):
     # the rank of each word is what its rows add to no head rows
     words = code.codewords
-    return join_ranks(words[:, :0], words, code.spec.q, code.spec.n)
+    return join_ranks(words[:, :0], words, code.q, code.n)
 
 
 def sq_filter(code: RankCode, max_rank: int) -> RankCode:
@@ -129,13 +124,12 @@ def sq_filter(code: RankCode, max_rank: int) -> RankCode:
     truncated rank sum of its distribution, which the caller can
     cross-check exactly.
     """
-    k = code.spec.k
-    if not 0 <= max_rank <= k:
+    if not 0 <= max_rank <= code.k:
         raise InvalidParameterError(
-            f"max_rank must lie in [0, {k}], got {max_rank}")
+            f"max_rank must lie in [0, {code.k}], got {max_rank}")
     ranks = _ranks(code)
     keep = (ranks > 0) & (ranks <= max_rank)
-    return RankCode(code.spec, code.codewords[keep])
+    return replace(code, codewords=code.codewords[keep])
 
 
 def empirical_rank_distribution(code: RankCode) -> dict:
@@ -144,20 +138,20 @@ def empirical_rank_distribution(code: RankCode) -> dict:
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 
 
-def expected_low_rank_count(spec: RankCodeSpec, max_rank: int) -> int:
-    """What sq_filter must return for a full code of this shape."""
-    return truncated_rank_sum(spec.q, spec.n, spec.k, spec.delta,
-                              spec.delta, max_rank)
+def expected_low_rank_count(code: RankCode, max_rank: int) -> int:
+    """What sq_filter must return for the full code of this code's shape."""
+    return truncated_rank_sum(code.q, code.n, code.k, code.delta,
+                              code.delta, max_rank)
 
 
 def checked_sq_filter(code: RankCode, max_rank: int) -> RankCode:
     """sq_filter plus an exact size check against the rank distribution."""
-    if len(code) != code.spec.cardinality:
+    if len(code) != code.cardinality:
         raise InvalidParameterError(
             f"size check needs the full evaluation code of "
-            f"{code.spec.cardinality} words, got {len(code)}")
+            f"{code.cardinality} words, got {len(code)}")
     out = sq_filter(code, max_rank)
-    want = expected_low_rank_count(code.spec, max_rank)
+    want = expected_low_rank_count(code, max_rank)
     if len(out) != want:
         raise InternalConsistencyError(
             f"rank filter kept {len(out)} codewords, distribution says {want}")

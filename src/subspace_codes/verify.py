@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import CdcParams, check_distance
 from .construction import CDC, Subspace
 from .errors import BudgetExceededError, IncompatibleSpacesError, InvalidParameterError
-from .fields import RREF_CHUNK, field_of, join_ranks, packed_rank
+from .fields import CHUNK, field_of, join_ranks, packed_rank
 
 PAIR_BUDGET_DEFAULT = 2 ** 28
 
@@ -42,10 +42,10 @@ def lcg_stream(seed: int):
 
 @lru_cache(maxsize=None)
 def _lcg_jump():
-    # word t after state x is (a_t x + c_t) mod 2^64, for t = 1..2*RREF_CHUNK:
+    # word t after state x is (a_t x + c_t) mod 2^64, for t = 1..2*CHUNK:
     # a_t = A^t and c_t = C (1 + A + ... + A^(t-1)); uint64 arrays wrap, and
     # every operand stays uint64 so that nothing is promoted to float
-    n = 2 * RREF_CHUNK
+    n = 2 * CHUNK
     a = np.multiply.accumulate(np.full(n, LCG_MULTIPLIER, dtype=np.uint64))
     powers = np.concatenate([np.ones(1, dtype=np.uint64), a[:-1]])
     c = np.cumsum(powers, dtype=np.uint64) * np.uint64(LCG_INCREMENT)
@@ -53,14 +53,14 @@ def _lcg_jump():
 
 
 def _pairs(state: int, m: int, want: int, cap: int | None = None, rounds=None):
-    # yields the pairs i < j drawn after state, one block per RREF_CHUNK
+    # yields the pairs i < j drawn after state, one block per CHUNK
     # attempts; an attempt (two words mod m) counts when i != j and, given
     # rounds, the rounds differ.  Stops after want pairs or cap attempts and
     # returns the state after the last attempt used and the pairs drawn.
     a, c = _lcg_jump()
     got = tried = 0
     while got < want and (cap is None or tried < cap):
-        n = RREF_CHUNK if cap is None else min(RREF_CHUNK, cap - tried)
+        n = CHUNK if cap is None else min(CHUNK, cap - tried)
         words = a[:2 * n] * np.uint64(state) + c[:2 * n]
         i, j = (words % np.uint64(m)).astype(np.int64).reshape(n, 2).T
         ok = i != j
@@ -152,8 +152,8 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
     first = first * (2 * m - first - 1) // 2
 
     def blocks():
-        for lo in range(0, pairs, RREF_CHUNK):
-            t = np.arange(lo, min(lo + RREF_CHUNK, pairs), dtype=np.int64)
+        for lo in range(0, pairs, CHUNK):
+            t = np.arange(lo, min(lo + CHUNK, pairs), dtype=np.int64)
             i = first.searchsorted(t, "right") - 1
             yield i, t - first[i] + i + 1
 
@@ -170,7 +170,7 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
     ceil(samples / 10) extra pairs with members from different rounds is
     appended, since cross-round pairs are the thinner failure surface; it
     resumes the stream where the main draws stopped and gives up after 50
-    attempts per requested pair.  Both phases draw RREF_CHUNK attempts at a
+    attempts per requested pair.  Both phases draw CHUNK attempts at a
     time with array arithmetic.  If ``samples`` covers every pair, the
     exhaustive scan answers instead.
     """

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subspace_codes import construction
-from subspace_codes.bounds import block_cardinalities, parallel_lower_bound
+from subspace_codes.bounds import CdcParams, block_cardinalities, parallel_lower_bound
 from subspace_codes.construction import (
     CDC,
     Subspace,
@@ -278,6 +278,51 @@ def test_cdc_rejects_rows_past_uint64():
         CDC(2, 65, 1, 2, [])
     top = CDC(2, 64, 1, 2, [(2 ** 64 - 1,)])
     assert top.codes.tolist() == [[2 ** 64 - 1]]
+
+
+# (q, n, k, d, s) of the benchmark workloads
+WORKLOAD_PARAMS = {
+    "exhaustive-855": (2, 3, 3, 2, 0),
+    "parallel-141k": (2, 2, 2, 2, 3),
+    "mrd-roundtrip": (2, 5, 4, 4, 0),
+    "q3-sampled": (3, 3, 3, 2, 0),
+}
+
+
+@pytest.mark.parametrize("p", WORKLOAD_PARAMS.values(), ids=WORKLOAD_PARAMS.keys())
+def test_cdc_reads_round_labels_off_params(p):
+    built = assemble_parallel(*p)
+    code = CDC(built.q, built.ambient, built.k, built.d, built.codes,
+               params=built.params)
+    assert code.rounds.dtype == np.uint16
+    assert np.array_equal(code.rounds, built.rounds)
+    sizes = block_cardinalities(*p)
+    assert code.rounds.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
+    # round sizes that miss the member count give no labels, not wrong ones
+    short = CDC(built.q, built.ambient, built.k, built.d, built.codes[:-1],
+                params=built.params)
+    assert short.rounds is None
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes, c.rounds[-300:]),
+     r"shape \(481,\).* got \(300,\)"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes[:100], c.rounds),
+     r"shape \(100,\).* got \(481,\)"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes, c.rounds[None]),
+     r"shape \(481,\).* got \(1, 481\)"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes, c.rounds,
+                   CdcParams(2, 8, 2, 2, n=4, s=1)),
+     r"\(2, 8, 2, 2\) disagree with the code's \(2, 6, 2, 2\)"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes,
+                   params=CdcParams(2, 8, 2, 2, n=4, s=1)),
+     r"\(2, 8, 2, 2\) disagree with the code's \(2, 6, 2, 2\)"),
+], ids=["labels-short", "labels-long", "labels-2d", "params-ambient",
+        "params-ambient-unlabelled"])
+def test_cdc_rejects_labels_and_params_that_disagree(make, match):
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    with pytest.raises(InvalidParameterError, match=match):
+        make(code)
 
 
 def test_subspace_accessors():

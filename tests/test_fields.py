@@ -12,8 +12,8 @@ from subspace_codes.errors import (
     InvalidParameterError,
 )
 from subspace_codes.fields import (
+    CHUNK,
     CONWAY_POLYS,
-    RREF_CHUNK,
     SUPPORTED_Q,
     Extension,
     extension_field,
@@ -462,7 +462,7 @@ def test_rref_rows_across_chunk_seams(q):
     # narrow rows, so the ranks vary and dependent stacks are common
     width, r = 3, 4
     rng = np.random.default_rng(q)
-    stacks = rng.integers(0, q ** width, size=(2 * RREF_CHUNK + 3, r)).tolist()
+    stacks = rng.integers(0, q ** width, size=(2 * CHUNK + 3, r)).tolist()
     assert_matches_scalar(stacks, q, width)
 
 
@@ -551,7 +551,7 @@ def test_join_ranks_clears_a_pivot_in_the_last_column(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-@pytest.mark.parametrize("stacks", [RREF_CHUNK - 1, RREF_CHUNK + 1])
+@pytest.mark.parametrize("stacks", [CHUNK - 1, CHUNK + 1])
 def test_join_ranks_across_chunk_seams(q, stacks):
     # narrow rows, so heads lose rank; each tail is its own head plus one
     # drawn row, so it adds at most 1 to its own head but more to another

@@ -60,8 +60,8 @@ def oracle_word(q, n, k, delta, t):
 
 
 def ranks(code):
-    f = field_of(code.spec.q)
-    return [packed_rank(w, f, code.spec.n) for w in code.codewords.tolist()]
+    f = field_of(code.q)
+    return [packed_rank(w, f, code.n) for w in code.codewords.tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +76,7 @@ def test_every_word_matches_scalar_oracle(q, n, k, delta):
     code = gabidulin_enumerate(q, n, k, delta)
     assert code.codewords.dtype == np.uint64
     assert code.codewords.flags.c_contiguous
-    assert code.codewords.shape == (code.spec.cardinality, k)
+    assert code.codewords.shape == (code.cardinality, k)
     for t, word in enumerate(code.codewords.tolist()):
         assert word == oracle_word(q, n, k, delta, t)
 
@@ -97,7 +97,7 @@ def test_empirical_distribution_matches_delsarte(q, n, k, delta):
     empirical = empirical_rank_distribution(code)
     for r in range(k + 1):
         assert empirical.get(r, 0) == expect.counts[r]
-    assert len(code) == code.spec.cardinality == q ** (n * (k - delta + 1))
+    assert len(code) == code.cardinality == q ** (n * (k - delta + 1))
 
 
 @pytest.mark.parametrize("q, n, k, delta", GRID)
@@ -195,7 +195,7 @@ def test_sq_filter_counts():
         code = gabidulin_enumerate(q, n, k, delta)
         for max_rank in range(delta, k + 1):
             kept = sq_filter(code, max_rank)
-            assert len(kept) == expected_low_rank_count(code.spec, max_rank)
+            assert len(kept) == expected_low_rank_count(code, max_rank)
             assert all(0 < r <= max_rank for r in ranks(kept))
 
 
@@ -221,7 +221,7 @@ def test_sq_filter_preserves_order():
 def test_checked_sq_filter_rejects_partial_codes():
     code = gabidulin_enumerate(2, 3, 3, 2)
     once = checked_sq_filter(code, 2)
-    assert len(once) == expected_low_rank_count(code.spec, 2)
+    assert len(once) == expected_low_rank_count(code, 2)
     with pytest.raises(InvalidParameterError):
         checked_sq_filter(once, 2)
 
@@ -229,11 +229,11 @@ def test_checked_sq_filter_rejects_partial_codes():
 def test_checked_filter_detects_tampering():
     code = gabidulin_enumerate(2, 3, 3, 2)
     # overwrite one rank-2 word with a copy of a rank-3 word: the length
-    # stays at spec.cardinality, so only the distribution cross-check fires
+    # stays at cardinality, so only the distribution cross-check fires
     word_ranks = ranks(code)
     words = code.codewords.copy()
     words[word_ranks.index(2)] = words[word_ranks.index(3)]
-    tampered = RankCode(code.spec, words)
-    assert len(tampered) == code.spec.cardinality
+    tampered = RankCode(code.q, code.n, code.k, code.delta, words)
+    assert len(tampered) == code.cardinality
     with pytest.raises(InternalConsistencyError):
         checked_sq_filter(tampered, 2)

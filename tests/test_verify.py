@@ -20,7 +20,7 @@ from subspace_codes.errors import (
     IncompatibleSpacesError,
     InvalidParameterError,
 )
-from subspace_codes.fields import RREF_CHUNK, field_of, mat_rank, matrix, unpack_row
+from subspace_codes.fields import CHUNK, field_of, mat_rank, matrix, unpack_row
 from subspace_codes.gabidulin import gabidulin_enumerate
 from subspace_codes.verify import (
     LCG_INCREMENT,
@@ -380,7 +380,7 @@ def test_topup_shortfall_is_reported():
                [0] * (len(code) - 1) + [1])
     report = min_distance_sampled(lone, 500, seed=42)
     assert report.topup_requested == 50
-    assert 50 * 50 % RREF_CHUNK != 0
+    assert 50 * 50 % CHUNK != 0
     assert 0 < report.topup_found < 50
     assert report.pairs_checked == 500 + report.topup_found
     assert as_tuple(report) == scalar_sampled(lone, 500, 42)
@@ -395,11 +395,11 @@ def test_topup_shortfall_is_reported():
 
 
 def test_sampled_blocks_span_the_topup():
-    # 2 * RREF_CHUNK + 1 top-up pairs: the top-up fills more than one block
+    # 2 * CHUNK + 1 top-up pairs: the top-up fills more than one block
     code = assemble_parallel(2, 2, 2, 2, 1)
-    samples = 20 * RREF_CHUNK + 1
+    samples = 20 * CHUNK + 1
     report = min_distance_sampled(code, samples, seed=5)
-    assert report.topup_found == report.topup_requested == 2 * RREF_CHUNK + 1
+    assert report.topup_found == report.topup_requested == 2 * CHUNK + 1
     assert as_tuple(report) == scalar_sampled(code, samples, 5)
 
 
@@ -409,7 +409,7 @@ def test_sampled_draws_go_on_after_distance_zero():
     code = assemble_parallel(2, 2, 2, 2, 1)
     repeated = CDC(code.q, code.ambient, code.k, code.d,
                    code.codes[np.arange(len(code)) % 5], code.rounds)
-    samples = 3 * RREF_CHUNK
+    samples = 3 * CHUNK
     report = min_distance_sampled(repeated, samples, seed=1)
     assert report.distance == 0
     assert report.topup_found == report.topup_requested == samples // 10 + 1
@@ -437,11 +437,11 @@ def test_jump_table_reproduces_the_stream(state):
     a, c = _lcg_jump()
     words = a * np.uint64(state) + c
     assert words.tolist() == list(itertools.islice(lcg_stream(state),
-                                                   2 * RREF_CHUNK))
+                                                   2 * CHUNK))
 
 
-@pytest.mark.parametrize("samples", [RREF_CHUNK - 1, RREF_CHUNK,
-                                     RREF_CHUNK + 1])
+@pytest.mark.parametrize("samples", [CHUNK - 1, CHUNK,
+                                     CHUNK + 1])
 @pytest.mark.parametrize("seed", [-3, 2 ** 64 + 5])
 def test_sampled_matches_scalar_scan_at_block_seams(samples, seed):
     code = assemble_parallel(2, 2, 2, 2, 1)
@@ -457,6 +457,6 @@ def test_exhaustive_witness_in_a_later_block_matches_scalar_scan():
     code = with_duplicate(CDC(base.q, base.ambient, base.k, base.d,
                               base.codes[:99], base.rounds[:99]), 60)
     report = min_distance_exhaustive(code)
-    assert report.pairs_checked % RREF_CHUNK != 0
+    assert report.pairs_checked % CHUNK != 0
     assert report.witness == (60, 99)
     assert as_tuple(report) == scalar_exhaustive(code)
