@@ -72,19 +72,19 @@ def canonicalize(gen: MatrixGF) -> Subspace:
 def lift(word: MatrixGF, side: str = "left") -> Subspace:
     """Subspace generated by a codeword next to an identity block.
 
-    side="left" produces the row space of [I | word], which is already
-    canonical; side="right" produces the row space of [word | I].
+    side="left" gives the row space of [I | word], side="right" that of
+    [word | I].
     """
     k, n = word.rows, word.cols
     q = word.field.q
+    words = [pack_row(word.row_list(i), q) for i in range(k)]
     if side == "left":
-        rows = tuple(q ** i + pack_row(word.row_list(i), q) * q ** k
-                     for i in range(k))
-        return Subspace(q, k + n, rows)
-    if side == "right":
-        packed = [pack_row(word.row_list(i), q) + q ** (n + i) for i in range(k)]
-        return Subspace(q, k + n, packed_rref(packed, word.field, k + n))
-    raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
+        packed = [q ** i + w * q ** k for i, w in enumerate(words)]
+    elif side == "right":
+        packed = [w + q ** (n + i) for i, w in enumerate(words)]
+    else:
+        raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}")
+    return Subspace(q, k + n, packed_rref(packed, word.field, k + n))
 
 
 ROW_LIMIT = 2 ** 64

@@ -314,11 +314,10 @@ def mat_sub(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 
 
 def _row_reduce(field: Field, rows):
-    """Full reduced echelon form in place; returns (nonzero rows, pivot cols)."""
+    """Nonzero rows of the full reduced echelon form, in pivot order."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     r = 0
-    pivots = []
     for c in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
@@ -332,16 +331,12 @@ def _row_reduce(field: Field, rows):
             if i != r and f:
                 rows[i] = [field.sub(v, field.mul(f, w))
                            for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
         r += 1
-    return rows[:r], pivots
+    return rows[:r]
 
 
 def mat_rank(a: MatrixGF) -> int:
-    if a.field.q == 2:
-        return _rank_bits([pack_row(a.row_list(r), 2) for r in range(a.rows)])
-    reduced, _ = _row_reduce(a.field, a.to_lists())
-    return len(reduced)
+    return len(_row_reduce(a.field, a.to_lists()))
 
 
 def mat_rref(a: MatrixGF) -> MatrixGF:
@@ -350,7 +345,7 @@ def mat_rref(a: MatrixGF) -> MatrixGF:
     The result is the canonical generator of the row space: two matrices
     have equal row spaces exactly when their rrefs are equal.
     """
-    reduced, _ = _row_reduce(a.field, a.to_lists())
+    reduced = _row_reduce(a.field, a.to_lists())
     if not reduced:
         return MatrixGF(a.field, 1, a.cols, (0,) * a.cols)
     return MatrixGF(a.field, len(reduced), a.cols,
@@ -359,9 +354,9 @@ def mat_rref(a: MatrixGF) -> MatrixGF:
 
 # ---------------------------------------------------------------------------
 # Packed rows.  A row vector over GF(q) of a given width is stored as the
-# integer sum(entry_c * q**c), column 0 in the least significant digit.  For
-# q = 2 this makes row reduction pure bit fiddling, which is the fast path
-# every large enumeration and every distance check relies on.
+# integer sum(entry_c * q**c), column 0 in the least significant digit, for
+# every q.  packed_rank and packed_rref unpack the rows and run the scalar
+# _row_reduce on them; the batched kernels below are the fast path.
 
 def pack_row(row, q: int) -> int:
     v = 0
@@ -400,47 +395,15 @@ def pack_rows(digits, q: int) -> np.ndarray:
     return rows
 
 
-def _rank_bits(rows) -> int:
-    piv = {}
-    for v in rows:
-        while v:
-            lb = v & -v
-            u = piv.get(lb)
-            if u is None:
-                piv[lb] = v
-                break
-            v ^= u
-    return len(piv)
-
-
-def _rref_bits(rows):
-    piv = {}
-    for v in rows:
-        for m in piv:
-            if v & m:
-                v ^= piv[m]
-        if v:
-            lb = v & -v
-            for m in piv:
-                if piv[m] & lb:
-                    piv[m] ^= v
-            piv[lb] = v
-    return tuple(piv[m] for m in sorted(piv))
-
-
 def packed_rank(rows, field: Field, width: int) -> int:
-    if field.q == 2:
-        return _rank_bits(list(rows))
-    unpacked = [unpack_row(v, field.q, width) for v in rows]
-    return len(_row_reduce(field, unpacked)[0])
+    return len(_row_reduce(field, [unpack_row(int(v), field.q, width)
+                                   for v in rows]))
 
 
 def packed_rref(rows, field: Field, width: int) -> tuple:
     """Canonical packed rows of the row space, sorted by pivot column."""
-    if field.q == 2:
-        return _rref_bits(list(rows))
-    unpacked = [unpack_row(v, field.q, width) for v in rows]
-    reduced, _ = _row_reduce(field, unpacked)
+    reduced = _row_reduce(field, [unpack_row(int(v), field.q, width)
+                                  for v in rows])
     return tuple(pack_row(r, field.q) for r in reduced)
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import CdcParams, check_distance
+from .bounds import check_distance
 from .construction import CDC, Subspace
 from .errors import BudgetExceededError, IncompatibleSpacesError, InvalidParameterError
 from .fields import CHUNK, field_of, join_ranks, packed_rank
@@ -209,7 +209,6 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
 class VerificationReport:
     """Side-by-side record of predicted versus measured code parameters."""
 
-    params: CdcParams | None
     expected_size: int
     stored_size: int
     distinct_size: int
@@ -281,7 +280,6 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
     passed = (distinct == stored == expected_size
               and (report.vacuous or report.distance >= claimed_distance))
     return VerificationReport(
-        params=code.params,
         expected_size=expected_size,
         stored_size=stored,
         distinct_size=distinct,

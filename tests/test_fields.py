@@ -328,7 +328,7 @@ def rank_by_span(field, m):
     return r
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_rank_matches_span_oracle(q):
     f = field_of(q)
     shapes = list(itertools.product(range(q), repeat=4))
@@ -349,19 +349,21 @@ def test_rank_invariant_under_transpose(q, data):
     assert mat_rank(m) == mat_rank(matrix(f, zip(*m.to_lists())))
 
 
-def test_rref_idempotent_and_canonical():
+@pytest.mark.parametrize("q", [2, 3])
+def test_rref_idempotent_and_canonical(q):
     """Two generator matrices of the same row space get the same RREF.
 
-    Exhaustive over 2x3 binary matrices, grouped by literal row-space sets.
+    Exhaustive over 2x3 matrices over GF(q), grouped by literal row-space
+    sets.
     """
-    f = field_of(2)
+    f = field_of(q)
     by_space = {}
-    for flat in itertools.product(range(2), repeat=6):
+    for flat in itertools.product(range(q), repeat=6):
         m = matrix(f, [list(flat[:3]), list(flat[3:])])
         space = frozenset(
             tuple(f.add(f.mul(a, m.entry(0, c)), f.mul(b, m.entry(1, c)))
                   for c in range(3))
-            for a in range(2) for b in range(2))
+            for a in range(q) for b in range(q))
         r = mat_rref(m)
         assert mat_rref(r) == r
         by_space.setdefault(space, set()).add(r.entries)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from subspace_codes.errors import (
     IncompatibleSpacesError,
     InvalidParameterError,
 )
-from subspace_codes.fields import CHUNK, field_of, mat_rank, matrix, unpack_row
+from subspace_codes.fields import (
+    CHUNK,
+    field_of,
+    mat_rank,
+    matrix,
+    packed_rank,
+    packed_rref,
+    unpack_row,
+)
 from subspace_codes.gabidulin import gabidulin_enumerate
 from subspace_codes.verify import (
     LCG_INCREMENT,
@@ -80,6 +89,31 @@ def test_distance_rejects_mismatched_spaces():
         subspace_distance(u, w3)
     with pytest.raises(IncompatibleSpacesError):
         subspace_distance(u, wlong)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2, 2, 1), (3, 2, 2, 2, 0)],
+                         ids=["binary", "ternary"])
+def test_references_read_numpy_rows_as_ints(params):
+    """The scalar references take code.codes rows as they are stored.
+
+    np.uint64 rows give the same ranks, rrefs (as Python ints) and
+    distances as the same rows as Python ints, and no numpy warning.
+    """
+    code = assemble_parallel(*params)
+    f, width = field_of(code.q), code.ambient
+    picks = range(0, len(code), len(code) // 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, j in itertools.combinations(picks, 2):
+            stored = list(code.codes[i]) + list(code.codes[j])
+            ints = code.codes[i].tolist() + code.codes[j].tolist()
+            assert packed_rank(stored, f, width) == packed_rank(ints, f, width)
+            rref = packed_rref(stored, f, width)
+            assert rref == packed_rref(ints, f, width)
+            assert all(type(v) is int for v in rref)
+            u, w = (Subspace(code.q, width, tuple(code.codes[t])) for t in (i, j))
+            assert subspace_distance(u, w) == subspace_distance(
+                member(code, i), member(code, j))
 
 
 def test_distance_is_a_metric_on_small_grassmannian():
