@@ -26,9 +26,9 @@ the writer and the reader.
 Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
 a stray digit, because every consumer downstream relies on members being
-honest k-dimensional subspaces in normal form.  It reads the form off the
-decoded digits (leading digits 1, leading columns increasing and clear in
-the other rows) and reduces nothing.  Corruption that stays
+honest k-dimensional subspaces in normal form.  It reads the form off bit
+masks of the decoded digits (leading digits 1, leading columns increasing
+and clear in the other rows) and reduces nothing.  Corruption that stays
 inside the format (a free entry changed to another field element) still
 loads, and then surfaces as a duplicate or a distance violation during
 verification rather than being repaired here.
@@ -120,7 +120,7 @@ def read_code(path) -> CDC:
     Mathematical problems (duplicates, wrong distance) are the verifier's
     business and pass through silently here.  The body is decoded CHUNK
     lines at a time: one byte check against ``_byte_check``'s rows, then
-    ``is_canonical`` on the block's digits.
+    ``is_canonical`` on the block's bit masks.
     """
     with open(path, "rb") as fh:
         # the body size check needs a file size, which a pipe does not have
@@ -183,22 +183,27 @@ def read_code(path) -> CDC:
                 f"header declares {members} members of {line_len} bytes "
                 f"each, body has {body} bytes")
         codes = np.empty((members, k), dtype=np.uint64)
-        offset, span = _byte_check(q, ambient, k)
+        offset, span = (np.tile(row, (min(CHUNK, members), 1, 1))
+                        for row in _byte_check(q, ambient, k))
         for lo in range(0, members, CHUNK):
             count = min(CHUNK, members - lo)
             block = np.frombuffer(fh.read(count * line_len),
                                   dtype=np.uint8).reshape(count, k, -1)
-            block = block - offset
-            bad = block > span
+            block = block - offset[:count]
+            bad = block > span[:count]
             if bad.any():
                 first = np.flatnonzero(bad.any(axis=(1, 2)))[0]
                 raise CodeFileError(
                     f"member {lo + first + 1} is not {k} rows of {ambient} "
                     f"digits of GF({q}) joined by '|'")
-            digits = block[:, :, :ambient]
-            bad = np.flatnonzero(~is_canonical(digits))
+            # each separator is now a zero top digit, so the whole block
+            # packs to the rows; a packed GF(2) row is its own support
+            rows = pack_rows(block, q)
+            masks = ((rows, rows) if q == 2 else
+                     (pack_rows(block != 0, 2), pack_rows(block == 1, 2)))
+            bad = np.flatnonzero(~is_canonical(*masks))
             if len(bad):
                 raise CodeFileError(
                     f"member {lo + bad[0] + 1} rows are not in canonical form")
-            codes[lo:lo + count] = pack_rows(digits, q)
+            codes[lo:lo + count] = rows
     return CDC(q, ambient, k, d, codes, params=construction)

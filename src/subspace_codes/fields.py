@@ -513,16 +513,22 @@ def join_ranks(heads, rows, q: int, width: int):
     return ranks
 
 
-def is_canonical(digits):
-    """Which (B, k, width) stacks of base-q digits are canonical rows.
+def is_canonical(support, ones):
+    """Which stacks of k rows are canonical, read off two bit masks.
 
-    Stack b is its own ``rref_rows`` output at rank k exactly when each
-    row's leading digit is 1, the leading columns strictly increase and
-    every leading column is zero in the other rows: no reduction needed.
+    ``support`` and ``ones`` are (B, k) uint64 arrays: bit c of
+    ``support[b, i]`` is set where row i of stack b has a nonzero digit in
+    column c, and bit c of ``ones[b, i]`` where that digit is 1 (a packed
+    GF(2) row is both of its masks).  Stack b is its own ``rref_rows``
+    output at rank k exactly when each row's leading digit is 1, the
+    leading columns strictly increase and every leading column is zero in
+    the other rows: no reduction needed.
     """
-    lead = (digits != 0).argmax(axis=2)
-    # pivots[b, i, j] is row j's digit in row i's leading column; a zero
-    # row leads at column 0 with digit 0, so it fails the identity test
-    pivots = digits.transpose(0, 2, 1)[np.arange(len(digits))[:, None], lead]
-    return ((pivots == np.eye(digits.shape[1], dtype=digits.dtype)).all(axis=(1, 2))
-            & (np.diff(lead, axis=1) > 0).all(axis=1))
+    # whole-row ops on a contiguous copy of the (k, B) transpose, several
+    # times faster than on the strided view
+    s = support.T.copy()
+    low = s & -s  # each row's leading column; 0 for a zero row
+    pivots = np.bitwise_or.reduce(low, axis=0)
+    # ones & low is 0 for a zero row and for a leading digit other than 1
+    return (((ones.T & low) != 0) & ((s & pivots) == low)).all(axis=0) \
+        & (low[1:] > low[:-1]).all(axis=0)

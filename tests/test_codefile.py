@@ -379,6 +379,67 @@ def test_reader_names_noncanonical_q3_member_past_first_chunk(tmp_path,
         read_code(path)
 
 
+def break_canonical(line, damage):
+    """A member line of two canonical rows with one kind of damage; every
+    result is valid digits and separators."""
+    rows = [list(row) for row in line.split("|")]
+    lead = [next(c for c, ch in enumerate(row) if ch != "0") for row in rows]
+    if damage == "zero-row":
+        rows[1] = ["0"] * len(rows[1])
+    elif damage == "repeated-row":
+        rows[1] = list(rows[0])
+    elif damage == "swapped-rows":
+        rows.reverse()
+    elif damage == "pivot-column":
+        # row 0 keeps its lead and reaches into row 1's pivot column
+        rows[0][lead[1]] = "1"
+    elif damage == "leading-digit":
+        rows[1][lead[1]] = "2"
+    return "|".join("".join(row) for row in rows)
+
+
+@pytest.mark.parametrize("q, damage", [
+    (q, damage) for q in (2, 3, 4)
+    for damage in ("zero-row", "repeated-row", "swapped-rows", "pivot-column",
+                   "leading-digit")
+    # a GF(2) row can only lead with 1
+    if (q, damage) != (2, "leading-digit")])
+@pytest.mark.parametrize("bad", [6, CHUNK + 50])
+def test_reader_refuses_each_kind_of_noncanonical_member(tmp_path, q, damage,
+                                                         bad):
+    """Member ``bad`` (0-based) sits in the first, full block or in the
+    short final one of 100 members."""
+    code = tiled(q, CHUNK + 100)
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    lines = path.read_text().splitlines()
+    i = lines.index("--") + 1 + bad
+    lines[i] = break_canonical(lines[i], damage)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CodeFileError,
+                       match=rf"^member {bad + 1} rows are not in canonical form$"):
+        read_code(path)
+
+
+def test_reader_at_the_width_limit(tmp_path):
+    """A GF(2) row of 64 columns fills its uint64 word: a last row leading
+    at column 63 round-trips, and a row reaching into that pivot column is
+    refused."""
+    codes = np.array([[1, 2], [1 | 2, 1 << 63], [2, 1 << 62]], dtype=np.uint64)
+    code = CDC(2, 64, 2, 2, codes)
+    back = roundtrip(tmp_path, code)
+    assert (back.q, back.ambient, back.k) == (2, 64, 2)
+    assert np.array_equal(back.codes, codes)
+    path = tmp_path / "code.txt"
+    lines = path.read_text().splitlines()
+    i = lines.index("--") + 2
+    assert lines[i] == "11" + "0" * 62 + "|" + "0" * 63 + "1"
+    lines[i] = "11" + "0" * 61 + "1|" + "0" * 63 + "1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CodeFileError, match=r"^member 2 rows are not"):
+        read_code(path)
+
+
 def test_reader_checks_member_count_before_reading_body(tmp_path):
     path = corrupt(tmp_path, lambda ls: ls.__setitem__(5, f"members={10 ** 15}"))
     # an array of 10**15 members could not be allocated, so only a check on

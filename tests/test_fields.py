@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subspace_codes.errors import (
     IncompatibleFieldError,
@@ -604,13 +604,38 @@ def digit_stacks(draw):
     return q, width, stacks
 
 
+def binary_row(*cols):
+    """A GF(2) row of width 64 with ones at ``cols``."""
+    return [int(c in cols) for c in range(64)]
+
+
+def canonical_masks(digits, q):
+    """The (support, ones) masks of digit stacks, built as read_code does:
+    a packed GF(2) row is both of its masks."""
+    if q == 2:
+        rows = pack_rows(digits, 2)
+        return rows, rows
+    return pack_rows(digits != 0, 2), pack_rows(digits == 1, 2)
+
+
 @given(digit_stacks())
 @settings(max_examples=300, deadline=None)
+# a row leading at column 63 is the top bit of its word: s & -s still finds
+# it, and it compares above every other lead only as an unsigned word
+@example((2, 64, [[binary_row(63)]]))
+@example((2, 64, [
+    [binary_row(0, 5), binary_row(63)],
+    [binary_row(63), binary_row(0)],        # the leads decrease
+    [binary_row(0, 63), binary_row(63)],    # row 0 in row 1's pivot column
+    [binary_row(62, 63), binary_row(63)],
+    [binary_row(63), binary_row(63)],
+    [binary_row(0), binary_row()],
+]))
 def test_is_canonical_matches_scalar_rref(case):
     """A stack is canonical exactly when packed_rref returns it at rank k."""
     q, width, stacks = case
     f = field_of(q)
-    got = is_canonical(np.array(stacks, dtype=np.uint8))
+    got = is_canonical(*canonical_masks(np.array(stacks, dtype=np.uint8), q))
     assert got.dtype == bool and got.shape == (len(stacks),)
     for b, rows in enumerate(stacks):
         packed = [pack_row(r, q) for r in rows]
