@@ -220,20 +220,27 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     def emit_round(slot_sources, pivot_offset):
         # identity at pivot_offset plus one word per slot: slots occupy
         # disjoint digit ranges, so member rows are sums of packed parts;
-        # with the identity left of every slot the sum is already canonical
+        # with the identity left of every slot the sum is already canonical.
+        # The last sum is written straight into the round's slice of codes
         nonlocal written
         acc = np.asarray([[q ** (pivot_offset + i) for i in range(k)]],
                          dtype=np.uint64)
-        for words, offset in slot_sources:
-            part = words * np.uint64(q ** offset)
+        parts = [words * np.uint64(q ** offset) for words, offset in slot_sources]
+        for part in parts[:-1]:
             acc = (acc[:, None, :] + part[None, :, :]).reshape(-1, k)
+        size = len(acc) * len(parts[-1])
+        if written + size > total:
+            raise InternalConsistencyError(
+                f"round of {size} members overruns the predicted {total}")
+        out = codes[written:written + size]
+        np.add(acc[:, None, :], parts[-1][None, :, :],
+               out=out.reshape(len(acc), len(parts[-1]), k))
         if pivot_offset:
-            ranks, acc = rref_rows(acc, q, ambient)
+            ranks, out[...] = rref_rows(out, q, ambient)
             if (ranks != k).any():
                 raise InternalConsistencyError("round member lost rank")
-        codes[written:written + len(acc)] = acc
-        written += len(acc)
-        return len(acc)
+        written += size
+        return size
 
     wide_offset = (s + 1) * k
     for b in range(s + 1):

@@ -426,10 +426,61 @@ def _tables(q: int):
     return mul, sub, inv
 
 
+@lru_cache(maxsize=None)
+def _plane_tables():
+    # into[x] holds the 8-bit ones and twos planes of the 8-digit GF(3) row
+    # x; back[b] is the GF(3) row whose digits are the bits of the byte b
+    digits = unpack_rows(np.arange(3 ** 8, dtype=np.uint64), 3, 8)
+    into = (pack_rows(digits == 1, 2).astype(np.uint8),
+            pack_rows(digits == 2, 2).astype(np.uint8))
+    back = pack_rows(unpack_rows(np.arange(256, dtype=np.uint64), 2, 8), 3)
+    return into, back
+
+
+def _to_planes(rows, width: int):
+    # (r, B) packed GF(3) rows as (r, 2, B) ones and twos planes, one lookup
+    # per 8 columns; a plane is the narrowest unsigned type that holds width
+    # bits, so a narrow row costs each clearing step fewer bytes
+    into, _ = _plane_tables()
+    planes = np.zeros((len(rows), 2, rows.shape[1]),
+                      dtype=np.min_scalar_type((1 << width) - 1))
+    base = np.uint64(3 ** 8)
+    for shift in range(0, width, 8):
+        digits = rows
+        if shift + 8 < width:
+            rows = digits // base
+            digits = digits - rows * base
+        for plane, table in zip(planes.transpose(1, 0, 2), into):
+            plane |= table.take(digits).astype(plane.dtype, copy=False) << shift
+    return planes
+
+
+def _from_planes(planes, width: int):
+    # (r, 2, B) planes back to (r, B) packed rows, one lookup per plane byte
+    _, back = _plane_tables()
+    rows = np.uint64(0)
+    for shift in range((width - 1) // 8 * 8, -1, -8):
+        digits = back.take((planes >> shift) & 0xFF)
+        rows = rows * np.uint64(3 ** 8) + digits[:, 0] + 2 * digits[:, 1]
+    return rows
+
+
 def _clear_binary(v, rows):
     # v (B,) and rows (n, B) packed bits, v's pivot its lowest set bit;
     # v * (bit set) is the masked row, cheaper than np.where
     rows ^= v * ((rows & (v & -v)) != 0)
+
+
+def _clear_ternary(v, rows):
+    # v (2, B) monic ones and twos planes, its pivot the lowest set bit of
+    # v[0]; rows (n, 2, B).  A row with digit 1 at the pivot adds -v (v's
+    # planes swapped), one with digit 2 adds v; -(x & pivot) masks every
+    # bit from the pivot up, all of v's support
+    digit = -(rows & (v[0] & -v[0]))  # the masks (one, two) of each row
+    y = (v[::-1] & digit[:, :1]) | (v & digit[:, 1:])
+    # x + y: t = (x1 | y2) ^ (x2 | y1), then (x2 | y2) ^ t and (x1 | y1) ^ t
+    t = np.bitwise_xor.reduce(rows | y[:, ::-1], axis=1)
+    np.bitwise_xor((rows | y)[:, ::-1], t[:, None], out=rows)
 
 
 def _clear_digits(v, c, rows, mul, sub):
@@ -438,25 +489,32 @@ def _clear_digits(v, c, rows, mul, sub):
 
 
 def _eliminate(rows, q: int, reduce: bool):
-    # rows is (r, B) packed bits for q = 2 and (r, B, width) digits
-    # otherwise, so row t of every stack is one contiguous block.  Row t,
-    # already clear of the pivots above it, is made monic and clears its
-    # pivot from the rows below it, and with reduce from those above it
-    # too: single-pass Gauss-Jordan.  No clearing moves a leading column.
-    # Empty parts are skipped: each call costs a few numpy dispatches.
-    if q > 2:
+    # rows is (r, B) packed bits for q = 2, (r, 2, B) ones and twos planes
+    # for q = 3 and (r, B, width) digits otherwise, so row t of every stack
+    # is one contiguous block.  Row t, already clear of the pivots above
+    # it, is made monic and clears its pivot from the rows below it, and
+    # with reduce from those above it too: single-pass Gauss-Jordan.  No
+    # clearing moves a leading column.  Empty parts are skipped: each call
+    # costs a few numpy dispatches.
+    if q > 3:
         mul, sub, inv = _tables(q)
         at = np.arange(rows.shape[1])
     for t in range(len(rows) if reduce else len(rows) - 1):
         v, parts = rows[t], (rows[t + 1:], rows[:t]) if reduce else (rows[t + 1:],)
-        if q == 2:
-            for part in filter(len, parts):
-                _clear_binary(v, part)
-            continue
-        c = (v != 0).argmax(axis=1)
-        v[...] = mul[inv[v[at, c]][:, None], v]
+        if q == 3:
+            # a lead of 2 (its bit in v[1]) is made 1 by swapping the planes
+            lead = v[0] | v[1]
+            v ^= (v[0] ^ v[1]) & -(v[1] & lead & -lead)
+        elif q > 3:
+            c = (v != 0).argmax(axis=1)
+            v[...] = mul[inv[v[at, c]][:, None], v]
         for part in filter(len, parts):
-            _clear_digits(v, c, part, mul, sub)
+            if q == 2:
+                _clear_binary(v, part)
+            elif q == 3:
+                _clear_ternary(v, part)
+            else:
+                _clear_digits(v, c, part, mul, sub)
     return rows
 
 
@@ -472,12 +530,16 @@ def rref_rows(rows, q: int, width: int):
     for lo in range(0, len(rows), CHUNK):
         out = rows[lo:lo + CHUNK].T.copy()
         if q == 2:
-            out = _eliminate(out, q, True)
-            key = np.where(out, out & -out, ~np.uint64(0))
+            out = support = _eliminate(out, q, True)
+        elif q == 3:
+            planes = _eliminate(_to_planes(out, width), q, True)
+            support, out = planes[:, 0] | planes[:, 1], _from_planes(planes, width)
         else:
             digits = _eliminate(unpack_rows(out, q, width), q, True)
             nonzero, out = digits != 0, pack_rows(digits, q)
-            key = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), width)
+        # sort each stack's rows by leading column, zero rows last
+        key = (np.where(support, support & -support, ~np.uint64(0)) if q <= 3
+               else np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), width))
         reduced[lo:lo + CHUNK] = np.take_along_axis(
             out, key.argsort(axis=0), axis=0).T
     return np.count_nonzero(reduced, axis=1), reduced
@@ -502,14 +564,18 @@ def join_ranks(heads, rows, q: int, width: int):
         if q == 2:
             for u in head:
                 _clear_binary(u, w)
+        elif q == 3:
+            w = _to_planes(w, width)
+            for u in _to_planes(head, width):
+                _clear_ternary(u, w)
         else:
             mul, sub, _ = _tables(q)
             w = unpack_rows(w, q, width)
             for u in unpack_rows(head, q, width):
                 _clear_digits(u, (u != 0).argmax(axis=1), w, mul, sub)
         w = _eliminate(w, q, False)
-        ranks[lo:lo + CHUNK] = np.count_nonzero(
-            w if q == 2 else w.any(axis=2), axis=0)
+        nonzero = w if q == 2 else w[:, 0] | w[:, 1] if q == 3 else w.any(axis=2)
+        ranks[lo:lo + CHUNK] = np.count_nonzero(nonzero, axis=0)
     return ranks
 
 

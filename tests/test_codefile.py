@@ -52,6 +52,11 @@ def test_roundtrip_nonbinary(tmp_path):
      "be675ccea2a09473333347f8f6cdbaea729d4efe7ea269b37d92eeadc7089714"),
     ((8, 2, 2, 2, 0),
      "5b01e104761c993b0b6695eab257a75f2f3d34917310095b4c3aefa538f4a731"),
+    # the benchmark's q3-sampled code, and a q = 3 code with two reduced rounds
+    ((3, 3, 3, 2, 0),
+     "0c52832b704a32bdb32d90277c06291883c7341e2ca4ba089fbcb4eebba77551"),
+    ((3, 2, 2, 2, 1),
+     "8c1a96a75822a1873cdb43a66a2a10452807062a6150c85493c13addc8ad025d"),
 ])
 def test_written_file_is_byte_identical_to_golden(tmp_path, params, sha256):
     path = tmp_path / "code.txt"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subspace_codes import fields
 from subspace_codes.errors import (
     IncompatibleFieldError,
     InvalidElementError,
@@ -564,6 +565,132 @@ def test_join_ranks_across_chunk_seams(q, stacks):
     drawn = rng.integers(0, q ** width, size=(stacks, 1), dtype=np.uint64)
     tails = np.concatenate([heads, drawn], axis=1)
     assert_join_matches_scalar(heads.tolist(), tails.tolist(), q, width)
+
+
+def ternary_planes(digit_rows):
+    """(r, 2, B) planes of rows given as digit lists, one row per stack."""
+    width = len(digit_rows[0])
+    rows = np.array([[pack_row(r, 3)] for r in digit_rows], dtype=np.uint64)
+    return fields._to_planes(rows, width), width
+
+
+def test_ternary_clearing_step_matches_the_field():
+    """x - c * v for monic v, every pivot digit c and every digit pair."""
+    f = field_of(3)
+    pairs = list(itertools.product(range(3), repeat=2))
+    # column 0 is v's pivot; column 1 + j holds the j-th pair (a, b), a in
+    # x and b in v: c = 2 adds v (plane addition), c = 1 adds v's planes
+    # swapped (negation)
+    v = [1] + [b for _, b in pairs]
+    for c in range(3):
+        x = [c] + [a for a, _ in pairs]
+        planes, width = ternary_planes([v, x])
+        fields._clear_ternary(planes[0], planes[1:])
+        want = [f.sub(a, f.mul(c, b)) for a, b in zip(x, v)]
+        rows = fields._from_planes(planes, width).tolist()
+        assert rows == [[pack_row(v, 3)], [pack_row(want, 3)]]
+
+
+@pytest.mark.parametrize("lead", [1, 2])
+def test_ternary_rows_are_made_monic(lead):
+    """A lead of 2 swaps the planes: the row times 2, every digit pair."""
+    f = field_of(3)
+    for offset in range(3):  # the lead in column 0, 1 or 2
+        row = [0] * offset + [lead] + [a for a, b in
+                                       itertools.product(range(3), repeat=2)]
+        planes, width = ternary_planes([row])
+        fields._eliminate(planes, 3, True)
+        want = [f.mul(f.inv(lead), a) for a in row]
+        assert fields._from_planes(planes, width).tolist() == [[pack_row(want, 3)]]
+
+
+@st.composite
+def ternary_stacks(draw):
+    """q = 3 stacks that reach the plane step's edge cases: leads at the
+    top column, leading digits of 2 and rows that are twice another."""
+    f = field_of(3)
+    width = draw(st.one_of(st.just(40), st.integers(1, 40)))
+    top = 3 ** width - 1
+    r = draw(st.integers(1, 6))
+    stacks = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for t in range(r):
+            kind = draw(st.sampled_from(("zero", "fresh", "last-column",
+                                         "lead-two", "twice")))
+            value = draw(st.one_of(st.just(top), st.integers(0, top)))
+            if kind == "zero":
+                value = 0
+            elif kind == "last-column":
+                value = draw(st.integers(1, 2)) * 3 ** (width - 1) + \
+                    (value if draw(st.booleans()) else 0) % 3 ** (width - 1)
+            elif kind == "lead-two" and value:
+                digits = unpack_row(value, 3, width)
+                digits[next(c for c, d in enumerate(digits) if d)] = 2
+                value = pack_row(digits, 3)
+            elif kind == "twice" and t:
+                value = combine([rows[draw(st.integers(0, t - 1))], value],
+                                [2, draw(st.integers(0, 2))], f, width)
+            rows.append(value)
+        stacks.append(rows)
+    return width, stacks
+
+
+@given(ternary_stacks())
+@settings(max_examples=200, deadline=None)
+def test_rref_rows_matches_scalar_at_q3(case):
+    width, stacks = case
+    assert_matches_scalar(stacks, 3, width)
+
+
+@given(ternary_stacks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_join_ranks_matches_scalar_at_q3(case, data):
+    # the heads are the canonical rows of the first rows of each stack; a
+    # tail row may hold a digit of 2 at a head pivot
+    width, stacks = case
+    f = field_of(3)
+    kU = data.draw(st.integers(0, len(stacks[0])))
+    heads, tails = [], []
+    for rows in stacks:
+        u = list(packed_rref(rows[:kU], f, width))
+        u += [0] * (kU - len(u))
+        w = list(rows)
+        for i, head in enumerate(u):
+            lead = next((c for c, d in enumerate(unpack_row(head, 3, width)) if d),
+                        None)
+            if lead is not None and data.draw(st.booleans()):
+                digits = unpack_row(w[i], 3, width)
+                digits[lead] = 2
+                w[i] = pack_row(digits, 3)
+        heads.append(u)
+        tails.append(w)
+    assert_join_matches_scalar(heads, tails, 3, width)
+
+
+def test_q3_kernels_across_chunk_seams_at_width_40():
+    # sparse digit rows: zero rows, repeats and leads anywhere up to column
+    # 39, so ranks vary across the seam
+    width, r, stacks = 40, 4, CHUNK + 3
+    rng = np.random.default_rng(40)
+    digits = rng.integers(0, 3, size=(stacks, r, width), dtype=np.uint8)
+    digits *= rng.random((stacks, r, width)) < 0.06
+    rows = pack_rows(digits, 3)
+    assert_matches_scalar(rows.tolist(), 3, width)
+    _, heads = rref_rows(rows[:, :2], 3, width)
+    assert_join_matches_scalar(heads.tolist(), rows[:, 1:].tolist(), 3, width)
+
+
+def test_q3_kernels_never_take_the_digit_path(monkeypatch):
+    def digit_path(*args):
+        raise AssertionError("q = 3 rows went through _clear_digits")
+
+    monkeypatch.setattr(fields, "_clear_digits", digit_path)
+    # leads of 2, a lead at column 39 and a dependent stack
+    stacks = [[5, 2 * 3 ** 39, 7], [0, 2, 3 ** 40 - 1], [6, 3, 0]]
+    assert_matches_scalar(stacks, 3, 40)
+    _, heads = rref_rows(np.array(stacks, dtype=np.uint64)[:, 1:], 3, 40)
+    assert_join_matches_scalar(heads.tolist(), stacks, 3, 40)
 
 
 @st.composite

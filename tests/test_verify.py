@@ -200,6 +200,13 @@ def test_sampled_is_deterministic():
     assert a.samples == 500 and a.seed == 42
 
 
+def test_sampled_q3_witness_is_pinned():
+    # the benchmark's q3-sampled scan at seed 42
+    report = min_distance_sampled(assemble_parallel(3, 3, 3, 2, 0), 10_000,
+                                  seed=42)
+    assert as_tuple(report) == (2, (18415, 25799), 11_000)
+
+
 def test_sampled_stratified_topup_counts_cross_round_pairs():
     code = assemble_parallel(2, 2, 2, 2, 1)
     report = min_distance_sampled(code, 500, seed=42)
