@@ -410,8 +410,10 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 # ---------------------------------------------------------------------------
 # The batched kernels behind every row reduction on the production path:
 # rref_rows where canonical rows are needed and join_ranks where ranks are
-# enough, both driven by _eliminate over one pivot-clearing step per row
-# representation; is_canonical checks stored rows without reducing them.
+# enough, both driven by _eliminate; is_canonical checks stored rows without
+# reducing them.  Only _encode, _decode, _support, _clear and the make-monic
+# step of _eliminate know the form a row takes inside them: packed bits at
+# q = 2, ones and twos bit planes at q = 3 and digit arrays otherwise.
 # packed_rref and packed_rank above are their reference.
 
 CHUNK = 1 << 11  # stacks, pairs or code-file lines per numpy pass
@@ -437,10 +439,15 @@ def _plane_tables():
     return into, back
 
 
-def _to_planes(rows, width: int):
-    # (r, B) packed GF(3) rows as (r, 2, B) ones and twos planes, one lookup
-    # per 8 columns; a plane is the narrowest unsigned type that holds width
-    # bits, so a narrow row costs each clearing step fewer bytes
+def _encode(rows, q: int, width: int):
+    # (r, B) packed rows, C-contiguous and free to overwrite, as the kernels
+    # hold them: (r, B) bits for q = 2, (r, 2, B) ones and twos planes for
+    # q = 3 and (r, B, width) digits otherwise, so row t of every stack is
+    # one contiguous block
+    if q != 3:
+        return rows if q == 2 else unpack_rows(rows, q, width)
+    # one lookup per 8 columns; a plane is the narrowest unsigned type that
+    # holds width bits, so a narrow row costs each clearing step fewer bytes
     into, _ = _plane_tables()
     planes = np.zeros((len(rows), 2, rows.shape[1]),
                       dtype=np.min_scalar_type((1 << width) - 1))
@@ -455,49 +462,58 @@ def _to_planes(rows, width: int):
     return planes
 
 
-def _from_planes(planes, width: int):
-    # (r, 2, B) planes back to (r, B) packed rows, one lookup per plane byte
+def _decode(held, q: int, width: int):
+    # the (r, B) packed rows of rows held as _encode gives them; planes go
+    # back with one lookup per plane byte
+    if q != 3:
+        return held if q == 2 else pack_rows(held, q)
     _, back = _plane_tables()
     rows = np.uint64(0)
     for shift in range((width - 1) // 8 * 8, -1, -8):
-        digits = back.take((planes >> shift) & 0xFF)
+        digits = back.take((held >> shift) & 0xFF)
         rows = rows * np.uint64(3 ** 8) + digits[:, 0] + 2 * digits[:, 1]
     return rows
 
 
-def _clear_binary(v, rows):
-    # v (B,) and rows (n, B) packed bits, v's pivot its lowest set bit;
-    # v * (bit set) is the masked row, cheaper than np.where
-    rows ^= v * ((rows & (v & -v)) != 0)
+def _support(rows, q: int):
+    # (r, B) masks of rows held as _encode gives them: bit c is set where
+    # column c is nonzero
+    if q == 2:
+        return rows
+    return rows[:, 0] | rows[:, 1] if q == 3 else pack_rows(rows != 0, 2)
 
 
-def _clear_ternary(v, rows):
-    # v (2, B) monic ones and twos planes, its pivot the lowest set bit of
-    # v[0]; rows (n, 2, B).  A row with digit 1 at the pivot adds -v (v's
-    # planes swapped), one with digit 2 adds v; -(x & pivot) masks every
-    # bit from the pivot up, all of v's support
-    digit = -(rows & (v[0] & -v[0]))  # the masks (one, two) of each row
-    y = (v[::-1] & digit[:, :1]) | (v & digit[:, 1:])
-    # x + y: t = (x1 | y2) ^ (x2 | y1), then (x2 | y2) ^ t and (x1 | y1) ^ t
-    t = np.bitwise_xor.reduce(rows | y[:, ::-1], axis=1)
-    np.bitwise_xor((rows | y)[:, ::-1], t[:, None], out=rows)
-
-
-def _clear_digits(v, c, rows, mul, sub):
-    # v (B, width) monic digit rows leading at columns c, rows (n, B, width)
-    rows[...] = sub[rows, mul[rows[:, np.arange(len(v)), c][:, :, None], v]]
+def _clear(v, rows, q: int):
+    # subtract from each of rows (n, ...) its digit at v's pivot times v,
+    # v monic and held like one of them
+    if q == 2:
+        # the pivot is v's lowest set bit; v * (bit set) is the masked row,
+        # cheaper than np.where
+        rows ^= v * ((rows & (v & -v)) != 0)
+    elif q == 3:
+        # the pivot is the lowest set bit of v[0].  A row with digit 1 at
+        # the pivot adds -v (v's planes swapped), one with digit 2 adds v;
+        # -(x & pivot) masks every bit from the pivot up, all of v's support
+        digit = -(rows & (v[0] & -v[0]))  # the masks (one, two) of each row
+        y = (v[::-1] & digit[:, :1]) | (v & digit[:, 1:])
+        # x + y: t = (x1 | y2) ^ (x2 | y1), then (x2 | y2) ^ t and (x1 | y1) ^ t
+        t = np.bitwise_xor.reduce(rows | y[:, ::-1], axis=1)
+        np.bitwise_xor((rows | y)[:, ::-1], t[:, None], out=rows)
+    else:
+        # v (B, width) digit rows, each leading at its column c
+        mul, sub, _ = _tables(q)
+        c = (v != 0).argmax(axis=1)
+        rows[...] = sub[rows, mul[rows[:, np.arange(len(v)), c][:, :, None], v]]
 
 
 def _eliminate(rows, q: int, reduce: bool):
-    # rows is (r, B) packed bits for q = 2, (r, 2, B) ones and twos planes
-    # for q = 3 and (r, B, width) digits otherwise, so row t of every stack
-    # is one contiguous block.  Row t, already clear of the pivots above
+    # rows as _encode gives them.  Row t, already clear of the pivots above
     # it, is made monic and clears its pivot from the rows below it, and
     # with reduce from those above it too: single-pass Gauss-Jordan.  No
     # clearing moves a leading column.  Empty parts are skipped: each call
     # costs a few numpy dispatches.
     if q > 3:
-        mul, sub, inv = _tables(q)
+        mul, _, inv = _tables(q)
         at = np.arange(rows.shape[1])
     for t in range(len(rows) if reduce else len(rows) - 1):
         v, parts = rows[t], (rows[t + 1:], rows[:t]) if reduce else (rows[t + 1:],)
@@ -506,15 +522,9 @@ def _eliminate(rows, q: int, reduce: bool):
             lead = v[0] | v[1]
             v ^= (v[0] ^ v[1]) & -(v[1] & lead & -lead)
         elif q > 3:
-            c = (v != 0).argmax(axis=1)
-            v[...] = mul[inv[v[at, c]][:, None], v]
+            v[...] = mul[inv[v[at, (v != 0).argmax(axis=1)]][:, None], v]
         for part in filter(len, parts):
-            if q == 2:
-                _clear_binary(v, part)
-            elif q == 3:
-                _clear_ternary(v, part)
-            else:
-                _clear_digits(v, c, part, mul, sub)
+            _clear(v, part, q)
     return rows
 
 
@@ -528,20 +538,12 @@ def rref_rows(rows, q: int, width: int):
     """
     reduced = np.empty_like(rows)
     for lo in range(0, len(rows), CHUNK):
-        out = rows[lo:lo + CHUNK].T.copy()
-        if q == 2:
-            out = support = _eliminate(out, q, True)
-        elif q == 3:
-            planes = _eliminate(_to_planes(out, width), q, True)
-            support, out = planes[:, 0] | planes[:, 1], _from_planes(planes, width)
-        else:
-            digits = _eliminate(unpack_rows(out, q, width), q, True)
-            nonzero, out = digits != 0, pack_rows(digits, q)
+        held = _eliminate(_encode(rows[lo:lo + CHUNK].T.copy(), q, width), q, True)
         # sort each stack's rows by leading column, zero rows last
-        key = (np.where(support, support & -support, ~np.uint64(0)) if q <= 3
-               else np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), width))
+        support = _support(held, q)
+        key = np.where(support, support & -support, ~np.uint64(0))
         reduced[lo:lo + CHUNK] = np.take_along_axis(
-            out, key.argsort(axis=0), axis=0).T
+            _decode(held, q, width), key.argsort(axis=0), axis=0).T
     return np.count_nonzero(reduced, axis=1), reduced
 
 
@@ -559,23 +561,11 @@ def join_ranks(heads, rows, q: int, width: int):
     # forward elimination alone counts what they add
     ranks = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), CHUNK):
-        head = heads[lo:lo + CHUNK].T.copy()
-        w = rows[lo:lo + CHUNK].T.copy()
-        if q == 2:
-            for u in head:
-                _clear_binary(u, w)
-        elif q == 3:
-            w = _to_planes(w, width)
-            for u in _to_planes(head, width):
-                _clear_ternary(u, w)
-        else:
-            mul, sub, _ = _tables(q)
-            w = unpack_rows(w, q, width)
-            for u in unpack_rows(head, q, width):
-                _clear_digits(u, (u != 0).argmax(axis=1), w, mul, sub)
-        w = _eliminate(w, q, False)
-        nonzero = w if q == 2 else w[:, 0] | w[:, 1] if q == 3 else w.any(axis=2)
-        ranks[lo:lo + CHUNK] = np.count_nonzero(nonzero, axis=0)
+        w = _encode(rows[lo:lo + CHUNK].T.copy(), q, width)
+        for u in _encode(heads[lo:lo + CHUNK].T.copy(), q, width):
+            _clear(u, w, q)
+        ranks[lo:lo + CHUNK] = np.count_nonzero(
+            _support(_eliminate(w, q, False), q), axis=0)
     return ranks
 
 

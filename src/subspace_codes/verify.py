@@ -101,8 +101,6 @@ class DistanceReport:
     pairs_checked: int
     mode: str
     vacuous: bool = False
-    samples: int | None = None
-    seed: int | None = None
     topup_requested: int = 0
     topup_found: int = 0
 
@@ -201,7 +199,6 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
     for _ in drawing:  # distance 0 ends the scan, not the draws
         pass
     return DistanceReport(best, witness, samples + found, "sampled",
-                          samples=samples, seed=seed,
                           topup_requested=extra, topup_found=found)
 
 

@@ -432,32 +432,77 @@ def assert_matches_scalar(stacks, q, width):
         assert reduced[b].tolist() == list(ref) + [0] * (len(rows) - len(ref))
 
 
+def combine(rows, coeffs, f, width):
+    """sum(c * row) over GF(q), on packed rows, by the scalar field."""
+    acc = [0] * width
+    for row, c in zip(rows, coeffs):
+        acc = [f.add(a, f.mul(c, v))
+               for a, v in zip(acc, unpack_row(row, f.q, width))]
+    return pack_row(acc, f.q)
+
+
+EDGE_KINDS = st.sampled_from(("zero", "top-column", "lead", "multiple", "span",
+                             "pivot"))
+
+
+def edge_row(draw, f, width, earlier, heads=()):
+    """One packed row of a kind that reaches an edge case of the clearing
+    steps: zero, a lead in the top column, a leading digit other than 1, c
+    times an earlier row plus a multiple of a fresh one, a combination of
+    earlier rows or a digit other than 1 at a head's pivot; a kind that
+    finds nothing to work on gives a fresh row.  At q = 2 the only digit
+    other than 0 is 1."""
+    q = f.q
+    kind = draw(EDGE_KINDS)
+    if kind == "zero":
+        return 0
+    if kind == "span" and earlier:
+        return combine(earlier, [draw(st.integers(0, q - 1)) for _ in earlier],
+                       f, width)
+    top = q ** width - 1
+    value = draw(st.one_of(st.just(top), st.integers(0, top)))
+    if kind == "top-column":
+        high = q ** (width - 1)
+        return draw(st.integers(1, q - 1)) * high + \
+            (value if draw(st.booleans()) else 0) % high
+    if kind == "multiple" and earlier:
+        return combine([draw(st.sampled_from(earlier)), value],
+                       [draw(st.integers(1, q - 1)),
+                        draw(st.integers(0, q - 1))], f, width)
+    digits = unpack_row(value, q, width)
+    if kind == "lead" and value:
+        at = next(c for c, d in enumerate(digits) if d)
+    elif kind == "pivot" and any(heads):
+        head = unpack_row(draw(st.sampled_from([u for u in heads if u])), q, width)
+        at = next(c for c, d in enumerate(head) if d)
+    else:
+        return value
+    digits[at] = draw(st.integers(min(2, q - 1), q - 1))
+    return pack_row(digits, q)
+
+
 @st.composite
-def row_stacks(draw):
-    q = draw(st.sampled_from(SUPPORTED_Q))
+def row_stacks(draw, q):
+    f = field_of(q)
     width = draw(st.one_of(st.just(WIDTH_LIMIT[q]),
                            st.integers(1, WIDTH_LIMIT[q])))
     r = draw(st.integers(1, 9))
     stacks = []
     for _ in range(draw(st.integers(1, 4))):
         rows = []
-        for t in range(r):
-            kind = draw(st.sampled_from(("zero", "fresh", "repeat")))
-            if kind == "zero":
-                rows.append(0)
-            elif kind == "repeat" and t:
-                rows.append(rows[draw(st.integers(0, t - 1))])
-            else:
-                rows.append(draw(st.integers(0, q ** width - 1)))
+        for _ in range(r):
+            rows.append(edge_row(draw, f, width, rows))
         stacks.append(rows)
-    return q, width, stacks
+    return width, stacks
 
 
-@given(row_stacks())
-@settings(max_examples=300, deadline=None)
-def test_rref_rows_matches_scalar_kernels(case):
-    q, width, stacks = case
-    assert_matches_scalar(stacks, q, width)
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_rref_rows_matches_scalar_kernels(data):
+    # every q in each example, so each q meets every edge case as often
+    for q in SUPPORTED_Q:
+        width, stacks = data.draw(row_stacks(q))
+        assert_matches_scalar(stacks, q, width)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -480,29 +525,19 @@ def assert_join_matches_scalar(heads, tails, q, width):
         assert int(got[b]) == want, (u, w)
 
 
-def combine(rows, coeffs, f, width):
-    """sum(c * row) over GF(q), on packed rows, by the scalar field."""
-    acc = [0] * width
-    for row, c in zip(rows, coeffs):
-        acc = [f.add(a, f.mul(c, v))
-               for a, v in zip(acc, unpack_row(row, f.q, width))]
-    return pack_row(acc, f.q)
-
-
 @st.composite
-def head_tail_stacks(draw):
-    q = draw(st.sampled_from((2, 3, 4, 9)))
+def head_tail_stacks(draw, q):
     f = field_of(q)
     width = draw(st.one_of(st.just(WIDTH_LIMIT[q]),
                            st.integers(1, WIDTH_LIMIT[q])))
-    top = q ** width - 1
-    k = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
     kU = draw(st.integers(0, k))
     heads, tails = [], []
     for _ in range(draw(st.integers(1, 4))):
         # canonical heads, zero-padded to kU rows when the draw is dependent
-        drawn = [draw(st.one_of(st.just(top), st.integers(0, top)))
-                 for _ in range(kU)]
+        drawn = []
+        for _ in range(kU):
+            drawn.append(edge_row(draw, f, width, drawn))
         u = list(packed_rref(drawn, f, width))
         u += [0] * (kU - len(u))
         if u and draw(st.booleans()):
@@ -510,30 +545,19 @@ def head_tail_stacks(draw):
             heads.append(u)
             continue
         w = []
-        for t in range(k):
-            kind = draw(st.sampled_from(("zero", "fresh", "span", "head",
-                                         "repeat")))
-            if kind == "zero":
-                w.append(0)
-            elif kind == "span" and u:
-                coeffs = [draw(st.integers(0, q - 1)) for _ in u]
-                w.append(combine(u, coeffs, f, width))
-            elif kind == "head" and u:
-                w.append(u[draw(st.integers(0, len(u) - 1))])
-            elif kind == "repeat" and t:
-                w.append(w[draw(st.integers(0, t - 1))])
-            else:
-                w.append(draw(st.one_of(st.just(top), st.integers(0, top))))
+        for _ in range(k):
+            w.append(edge_row(draw, f, width, u + w, u))
         heads.append(u)
         tails.append(w)
-    return q, width, heads, tails
+    return width, heads, tails
 
 
-@given(head_tail_stacks())
+@given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_join_ranks_matches_scalar_rank(case):
-    q, width, heads, tails = case
-    assert_join_matches_scalar(heads, tails, q, width)
+def test_join_ranks_matches_scalar_rank(data):
+    for q in (2, 3, 4, 9):
+        width, heads, tails = data.draw(head_tail_stacks(q))
+        assert_join_matches_scalar(heads, tails, q, width)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -571,7 +595,7 @@ def ternary_planes(digit_rows):
     """(r, 2, B) planes of rows given as digit lists, one row per stack."""
     width = len(digit_rows[0])
     rows = np.array([[pack_row(r, 3)] for r in digit_rows], dtype=np.uint64)
-    return fields._to_planes(rows, width), width
+    return fields._encode(rows, 3, width), width
 
 
 def test_ternary_clearing_step_matches_the_field():
@@ -585,9 +609,9 @@ def test_ternary_clearing_step_matches_the_field():
     for c in range(3):
         x = [c] + [a for a, _ in pairs]
         planes, width = ternary_planes([v, x])
-        fields._clear_ternary(planes[0], planes[1:])
+        fields._clear(planes[0], planes[1:], 3)
         want = [f.sub(a, f.mul(c, b)) for a, b in zip(x, v)]
-        rows = fields._from_planes(planes, width).tolist()
+        rows = fields._decode(planes, 3, width).tolist()
         assert rows == [[pack_row(v, 3)], [pack_row(want, 3)]]
 
 
@@ -601,70 +625,23 @@ def test_ternary_rows_are_made_monic(lead):
         planes, width = ternary_planes([row])
         fields._eliminate(planes, 3, True)
         want = [f.mul(f.inv(lead), a) for a in row]
-        assert fields._from_planes(planes, width).tolist() == [[pack_row(want, 3)]]
+        assert fields._decode(planes, 3, width).tolist() == [[pack_row(want, 3)]]
 
 
-@st.composite
-def ternary_stacks(draw):
-    """q = 3 stacks that reach the plane step's edge cases: leads at the
-    top column, leading digits of 2 and rows that are twice another."""
-    f = field_of(3)
-    width = draw(st.one_of(st.just(40), st.integers(1, 40)))
-    top = 3 ** width - 1
-    r = draw(st.integers(1, 6))
-    stacks = []
-    for _ in range(draw(st.integers(1, 4))):
-        rows = []
-        for t in range(r):
-            kind = draw(st.sampled_from(("zero", "fresh", "last-column",
-                                         "lead-two", "twice")))
-            value = draw(st.one_of(st.just(top), st.integers(0, top)))
-            if kind == "zero":
-                value = 0
-            elif kind == "last-column":
-                value = draw(st.integers(1, 2)) * 3 ** (width - 1) + \
-                    (value if draw(st.booleans()) else 0) % 3 ** (width - 1)
-            elif kind == "lead-two" and value:
-                digits = unpack_row(value, 3, width)
-                digits[next(c for c, d in enumerate(digits) if d)] = 2
-                value = pack_row(digits, 3)
-            elif kind == "twice" and t:
-                value = combine([rows[draw(st.integers(0, t - 1))], value],
-                                [2, draw(st.integers(0, 2))], f, width)
-            rows.append(value)
-        stacks.append(rows)
-    return width, stacks
-
-
-@given(ternary_stacks())
+@given(row_stacks(3))
 @settings(max_examples=200, deadline=None)
 def test_rref_rows_matches_scalar_at_q3(case):
+    # more q = 3 draws of the all-q edge cases: leading 2s, rows twice
+    # another and leads in the top column, up to width 40
     width, stacks = case
     assert_matches_scalar(stacks, 3, width)
 
 
-@given(ternary_stacks(), st.data())
+@given(head_tail_stacks(3))
 @settings(max_examples=200, deadline=None)
-def test_join_ranks_matches_scalar_at_q3(case, data):
-    # the heads are the canonical rows of the first rows of each stack; a
-    # tail row may hold a digit of 2 at a head pivot
-    width, stacks = case
-    f = field_of(3)
-    kU = data.draw(st.integers(0, len(stacks[0])))
-    heads, tails = [], []
-    for rows in stacks:
-        u = list(packed_rref(rows[:kU], f, width))
-        u += [0] * (kU - len(u))
-        w = list(rows)
-        for i, head in enumerate(u):
-            lead = next((c for c, d in enumerate(unpack_row(head, 3, width)) if d),
-                        None)
-            if lead is not None and data.draw(st.booleans()):
-                digits = unpack_row(w[i], 3, width)
-                digits[lead] = 2
-                w[i] = pack_row(digits, 3)
-        heads.append(u)
-        tails.append(w)
+def test_join_ranks_matches_scalar_at_q3(case):
+    # as above, and tail rows with a 2 at a head pivot
+    width, heads, tails = case
     assert_join_matches_scalar(heads, tails, 3, width)
 
 
@@ -681,16 +658,23 @@ def test_q3_kernels_across_chunk_seams_at_width_40():
     assert_join_matches_scalar(heads.tolist(), rows[:, 1:].tolist(), 3, width)
 
 
-def test_q3_kernels_never_take_the_digit_path(monkeypatch):
-    def digit_path(*args):
-        raise AssertionError("q = 3 rows went through _clear_digits")
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kernels_take_only_their_own_row_form(monkeypatch, q):
+    def refuse(*args):
+        raise AssertionError(f"q = {q} rows built tables of another row form")
 
-    monkeypatch.setattr(fields, "_clear_digits", digit_path)
-    # leads of 2, a lead at column 39 and a dependent stack
-    stacks = [[5, 2 * 3 ** 39, 7], [0, 2, 3 ** 40 - 1], [6, 3, 0]]
-    assert_matches_scalar(stacks, 3, 40)
-    _, heads = rref_rows(np.array(stacks, dtype=np.uint64)[:, 1:], 3, 40)
-    assert_join_matches_scalar(heads.tolist(), stacks, 3, 40)
+    # the lru-cached tables of the forms that q's rows must not take
+    other_forms = {2: ("_tables", "_plane_tables"), 3: ("_tables",),
+                   4: ("_plane_tables",)}
+    for name in other_forms[q]:
+        monkeypatch.setattr(fields, name, refuse)
+    # leads other than 1, a lead in the top column and a dependent stack
+    width = WIDTH_LIMIT[q]
+    stacks = [[5, (q - 1) * q ** (width - 1), 7], [0, 2, q ** width - 1],
+              [6, 3, 0]]
+    assert_matches_scalar(stacks, q, width)
+    _, heads = rref_rows(np.array(stacks, dtype=np.uint64)[:, 1:], q, width)
+    assert_join_matches_scalar(heads.tolist(), stacks, q, width)
 
 
 @st.composite
