@@ -145,6 +145,7 @@ def cmd_verify(args) -> int:
     print(f"claimed distance  {report.claimed_distance}")
     print(f"observed distance {report.observed_distance} "
           f"({report.distance_mode}, {report.pairs_checked} pairs)")
+    print(f"ranked pairs      {report.pairs_ranked}")
     for note in report.notes:
         print(f"note: {note}")
     print(f"result {'PASS' if report.passed else 'FAIL'} "

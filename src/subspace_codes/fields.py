@@ -569,6 +569,20 @@ def join_ranks(heads, rows, q: int, width: int):
     return ranks
 
 
+def pivot_masks(rows, q: int, width: int):
+    """The identifying vector of each stack of canonical rows, as a mask.
+
+    ``rows`` is a (B, k) uint64 array of canonical rows packed like those
+    of :func:`rref_rows`.  Bit c of entry b is set where a row of stack b
+    leads at column c: the OR of each row's lowest support bit.
+    """
+    masks = np.empty(len(rows), dtype=np.uint64)
+    for lo in range(0, len(rows), CHUNK):
+        s = _support(_encode(rows[lo:lo + CHUNK].T.copy(), q, width), q)
+        masks[lo:lo + CHUNK] = np.bitwise_or.reduce(s & -s, axis=0)
+    return masks
+
+
 def is_canonical(support, ones):
     """Which stacks of k rows are canonical, read off two bit masks.
 

@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import check_distance
 from .construction import CDC, Subspace
 from .errors import BudgetExceededError, IncompatibleSpacesError, InvalidParameterError
-from .fields import CHUNK, field_of, join_ranks, packed_rank
+from .fields import CHUNK, field_of, join_ranks, packed_rank, pivot_masks
 
 PAIR_BUDGET_DEFAULT = 2 ** 28
 
@@ -92,8 +92,11 @@ class DistanceReport:
 
     With fewer than two members there is no pair to measure; the report is
     then flagged vacuous and carries the unreachable value 2 * ambient,
-    which compares as at least any claimed distance.  ``topup_found`` of
-    ``topup_requested`` stratified cross-round pairs were sampled.
+    which compares as at least any claimed distance.  ``pairs_ranked`` of
+    the ``pairs_checked`` pairs had their rank computed: the exhaustive scan
+    bounds the others, and a sampled scan stops ranking at distance 0 while
+    its draws go on.  ``topup_found`` of ``topup_requested`` stratified
+    cross-round pairs were sampled.
     """
 
     distance: int
@@ -103,37 +106,125 @@ class DistanceReport:
     vacuous: bool = False
     topup_requested: int = 0
     topup_found: int = 0
+    pairs_ranked: int = 0
 
 
 def _vacuous_report(code: CDC, mode: str) -> DistanceReport:
     return DistanceReport(2 * code.ambient, None, 0, mode, vacuous=True)
 
 
-def _scan(code: CDC, blocks):
+def _scan(code: CDC, blocks, floor: int = 0):
     # blocks yields (i, j) index arrays; the distance of a pair is
     # 2 * (rank[U; W] - k), twice what W adds to U, and the first pair at
-    # the minimum is the witness.  join_ranks clears U's pivot columns from
-    # W, so it relies on the member rows being canonical, which read_code
-    # checks for every code file
+    # the minimum, smaller index first, is the witness.  Stops after the
+    # block where the minimum reaches floor; returns the minimum, the
+    # witness and the number of pairs ranked.  join_ranks clears U's pivot
+    # columns from W, so it relies on the member rows being canonical,
+    # which read_code checks for every code file
     best = witness = None
+    ranked = 0
     for i, j in blocks:
         added = join_ranks(code.codes.take(i, axis=0),
                            code.codes.take(j, axis=0), code.q, code.ambient)
+        ranked += len(added)
         t = int(added.argmin())
         dist = 2 * int(added[t])
         if best is None or dist < best:
-            best, witness = dist, (int(i[t]), int(j[t]))
-            if best == 0:
+            best, witness = dist, tuple(sorted((int(i[t]), int(j[t]))))
+            if best <= floor:
                 break
-    return best, witness
+    return best, witness, ranked
+
+
+def _popcount(x):
+    # bits set in each word of a uint64 array: sums of 2, 4 and 8 bits,
+    # then the eight byte sums added up in the top byte
+    fives, threes = np.uint64(0x5555555555555555), np.uint64(0x3333333333333333)
+    x = x - ((x >> 1) & fives)
+    x = (x & threes) + ((x >> 2) & threes)
+    x = (x + (x >> 4)) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> 56
+
+
+def _class_pairs(keys, gap: int):
+    # (a, b) arrays of the class pairs a <= b whose keys differ in gap bits,
+    # in (a, b) order, a few rows of the class table at a time
+    c = len(keys)
+    step = max(1, 16 * CHUNK // c)
+    for lo in range(0, c, step):
+        a, b = np.nonzero(np.triu(
+            _popcount(keys[lo:lo + step, None] ^ keys[lo:]) == gap))
+        if len(a):
+            yield a + lo, b + lo
+
+
+def _runs(order, starts, sizes, class_pairs):
+    # (i, first, length) arrays of at most 16 * CHUNK runs: member i against
+    # the members order[first:first + length].  Class pair (a, b) gives one
+    # run for each member of class a, against the members of class b, or
+    # for a == b against the members after it; a class's members are
+    # order[starts:starts + size]
+    for a, b in class_pairs:
+        same = a == b
+        n = sizes[a] - same
+        ends = np.cumsum(n)
+        for lo in range(0, int(ends[-1]), 16 * CHUNK):
+            r = np.arange(lo, min(lo + 16 * CHUNK, int(ends[-1])))
+            p = ends.searchsorted(r, "right")
+            at = starts[a[p]] + r - ends[p] + n[p]
+            first = np.where(same[p], at + 1, starts[b[p]])
+            yield order[at], first, starts[b[p]] + sizes[b[p]] - first
+
+
+def _pair_blocks(order, runs):
+    # (i, j) blocks of at most CHUNK pairs off each array of runs, so that
+    # short runs share a block; a pair comes as (j, i) when the member of
+    # class a is the later one
+    for i, first, length in runs:
+        ends = np.cumsum(length)
+        base = first - ends + length  # order position of a run's pair 0
+        for lo in range(0, int(ends[-1]), CHUNK):
+            hi = min(lo + CHUNK, int(ends[-1]))
+            r0, r1 = ends.searchsorted([lo, hi - 1], "right")
+            count = length[r0:r1 + 1].copy()
+            count[0] -= lo - ends[r0] + length[r0]
+            count[-1] -= ends[r1] - hi
+            yield (np.repeat(i[r0:r1 + 1], count),
+                   order[np.repeat(base[r0:r1 + 1], count) + np.arange(lo, hi)])
+
+
+def _ordered_pairs(masks, end: int, within: int):
+    # the pairs i < j with pair index below end, in (i, j) order, whose
+    # pivot masks are at most within bits apart; pair t is (i, j) with
+    # first[i] <= t < first[i + 1]
+    m = len(masks)
+    first = np.arange(m - 1, dtype=np.int64)
+    first = first * (2 * m - first - 1) // 2
+    for lo in range(0, end, CHUNK):
+        t = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)
+        i = first.searchsorted(t, "right") - 1
+        j = t - first[i] + i + 1
+        near = np.flatnonzero(_popcount(masks[i] ^ masks[j]) <= within)
+        if len(near):
+            yield i[near], j[near]
 
 
 def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> DistanceReport:
-    """Exact minimum distance by scanning every unordered pair.
+    """Exact minimum distance over every unordered pair.
 
     Refuses (BudgetExceededError) when the pair count exceeds the budget,
     default 2^28; min_distance_sampled is the way out for bigger codes.
     A reported 0 means two members are the same subspace.
+
+    Members are grouped by identifying vector, the pivot columns of their
+    canonical rows.  By Etzion and Silberstein (IEEE Trans. IT 2009,
+    Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), so class pairs are ranked in
+    increasing d_H, same-class pairs first, until the next d_H is at least
+    the minimum found; the pairs left are bounded, not ranked.  A witness
+    pass then ranks, in (i, j) order, the pairs before the candidate
+    witness whose d_H is at most the minimum, so the witness is the first
+    pair at the minimum in (i, j) order.  ``pairs_checked`` counts every
+    pair, ranked or bounded; ``pairs_ranked`` the ranks computed.
     """
     m = len(code)
     if m < 2:
@@ -145,18 +236,34 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
             f"{pairs} pairs exceed the pair budget of {budget}; "
             f"use sampled verification instead")
 
-    # pair t is (i, j) with first[i] <= t < first[i + 1], in (i, j) order
-    first = np.arange(m - 1, dtype=np.int64)
-    first = first * (2 * m - first - 1) // 2
+    # classes of equal pivot masks, original order kept inside each class
+    masks = pivot_masks(code.codes, code.q, code.ambient)
+    order = np.argsort(masks, kind="stable")
+    held = masks[order]
+    starts = np.flatnonzero(np.concatenate([[True], held[1:] != held[:-1]]))
+    sizes, keys = np.diff(np.append(starts, m)), held[starts]
 
-    def blocks():
-        for lo in range(0, pairs, CHUNK):
-            t = np.arange(lo, min(lo + CHUNK, pairs), dtype=np.int64)
-            i = first.searchsorted(t, "right") - 1
-            yield i, t - first[i] + i + 1
+    best = witness = None
+    ranked = 0
+    for gap in range(2 * code.k + 1):  # two k-bit masks differ in <= 2k bits
+        if best is not None and best <= gap:
+            break
+        blocks = _pair_blocks(order, _runs(order, starts, sizes,
+                                           _class_pairs(keys, gap)))
+        dist, pair, n = _scan(code, blocks, floor=gap)
+        ranked += n
+        if dist is not None and (best is None or (dist, pair) < (best, witness)):
+            best, witness = dist, pair
 
-    best, witness = _scan(code, blocks())
-    return DistanceReport(best, witness, pairs, "exhaustive")
+    # the witness pass: pairs before the candidate, index end, in (i, j)
+    # order; a pair more than best bits apart cannot be at best
+    i, j = witness
+    end = i * (2 * m - i - 1) // 2 + j - i - 1
+    dist, pair, n = _scan(code, _ordered_pairs(masks, end, best), floor=best)
+    if dist == best:
+        witness = pair
+    return DistanceReport(best, witness, pairs, "exhaustive",
+                          pairs_ranked=ranked + n)
 
 
 def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceReport:
@@ -195,11 +302,12 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
         _, found = yield from _pairs(state, m, extra, 50 * extra, rounds)
 
     drawing = blocks()
-    best, witness = _scan(code, drawing)
+    best, witness, ranked = _scan(code, drawing)
     for _ in drawing:  # distance 0 ends the scan, not the draws
         pass
     return DistanceReport(best, witness, samples + found, "sampled",
-                          topup_requested=extra, topup_found=found)
+                          topup_requested=extra, topup_found=found,
+                          pairs_ranked=ranked)
 
 
 @dataclass
@@ -213,6 +321,7 @@ class VerificationReport:
     observed_distance: int
     distance_mode: str
     pairs_checked: int
+    pairs_ranked: int
     witness: tuple | None
     vacuous: bool
     passed: bool
@@ -228,6 +337,7 @@ class VerificationReport:
             "observed_distance": self.observed_distance,
             "distance_mode": self.distance_mode,
             "pairs_checked": self.pairs_checked,
+            "pairs_ranked": self.pairs_ranked,
             "witness": list(self.witness) if self.witness else None,
             "vacuous": self.vacuous,
             "passed": self.passed,
@@ -284,6 +394,7 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
         observed_distance=report.distance,
         distance_mode=report.mode,
         pairs_checked=report.pairs_checked,
+        pairs_ranked=report.pairs_ranked,
         witness=report.witness,
         vacuous=report.vacuous,
         passed=passed,

@@ -13,7 +13,7 @@ from subspace_codes.codefile import read_code
 from subspace_codes.construction import Subspace
 from subspace_codes.errors import InternalConsistencyError
 from subspace_codes.gabidulin import BUDGET_ENV_VAR
-from subspace_codes.verify import subspace_distance
+from subspace_codes.verify import min_distance_exhaustive, subspace_distance
 
 
 def run(capsys, *argv):
@@ -146,11 +146,20 @@ def test_construct_verify_roundtrip(capsys, tmp_path):
     assert rc == 0
     assert "result PASS" in out
     assert "481" in out
+    # the ranks computed, on their own line after the observed distance
+    ranked = min_distance_exhaustive(read_code(out_path)).pairs_ranked
+    assert 0 < ranked < 481 * 480 // 2
+    lines = out.splitlines()
+    at = next(t for t, line in enumerate(lines)
+              if line.startswith("observed distance"))
+    assert lines[at] == "observed distance 2 (exhaustive, 115440 pairs)"
+    assert lines[at + 1] == f"ranked pairs      {ranked}"
 
     rc, out, _ = run(capsys, "verify", "--in", str(out_path), "--d", "2",
                      "--mode", "sampled", "--samples", "1000", "--seed", "42")
     assert rc == 0
     assert "sampled" in out and "1100 pairs" in out
+    assert "ranked pairs      1100\n" in out
 
 
 def test_verify_overclaimed_distance_fails(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Field arithmetic, subfield towers, and the packed matrix kernels."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -441,8 +442,15 @@ def combine(rows, coeffs, f, width):
     return pack_row(acc, f.q)
 
 
-EDGE_KINDS = st.sampled_from(("zero", "top-column", "lead", "multiple", "span",
-                             "pivot"))
+EDGE_KINDS = ("zero", "top-column", "lead", "multiple", "span", "pivot")
+# a row's kind and its small choices; strategies are built once, since
+# building and validating one costs more than a draw
+EDGE_CHOICE = st.integers(0, len(EDGE_KINDS) * 2 ** 64 - 1)
+
+
+@lru_cache(maxsize=None)
+def digit_rows(q, width):
+    return st.integers(0, q ** width - 1)
 
 
 def edge_row(draw, f, width, earlier, heads=()):
@@ -451,33 +459,41 @@ def edge_row(draw, f, width, earlier, heads=()):
     times an earlier row plus a multiple of a fresh one, a combination of
     earlier rows or a digit other than 1 at a head's pivot; a kind that
     finds nothing to work on gives a fresh row.  At q = 2 the only digit
-    other than 0 is 1."""
+    other than 0 is 1.  One draw gives the kind and every small choice,
+    and one more the fresh row's digits, which are all q - 1 one time in
+    four, so a row costs at most two draws."""
     q = f.q
-    kind = draw(EDGE_KINDS)
+    choice = draw(EDGE_CHOICE)
+    kind, pick = EDGE_KINDS[choice % len(EDGE_KINDS)], choice // len(EDGE_KINDS)
+
+    def small(lo, hi):
+        # the next small choice in [lo, hi], read off pick
+        nonlocal pick
+        pick, c = divmod(pick, hi - lo + 1)
+        return lo + c
+
     if kind == "zero":
         return 0
     if kind == "span" and earlier:
-        return combine(earlier, [draw(st.integers(0, q - 1)) for _ in earlier],
-                       f, width)
+        return combine(earlier, [small(0, q - 1) for _ in earlier], f, width)
     top = q ** width - 1
-    value = draw(st.one_of(st.just(top), st.integers(0, top)))
+    value = top if small(0, 3) == 0 else draw(digit_rows(q, width))
     if kind == "top-column":
         high = q ** (width - 1)
-        return draw(st.integers(1, q - 1)) * high + \
-            (value if draw(st.booleans()) else 0) % high
+        return small(1, q - 1) * high + (value if small(0, 1) else 0) % high
     if kind == "multiple" and earlier:
-        return combine([draw(st.sampled_from(earlier)), value],
-                       [draw(st.integers(1, q - 1)),
-                        draw(st.integers(0, q - 1))], f, width)
+        return combine([earlier[small(0, len(earlier) - 1)], value],
+                       [small(1, q - 1), small(0, q - 1)], f, width)
     digits = unpack_row(value, q, width)
     if kind == "lead" and value:
         at = next(c for c, d in enumerate(digits) if d)
     elif kind == "pivot" and any(heads):
-        head = unpack_row(draw(st.sampled_from([u for u in heads if u])), q, width)
+        led = [u for u in heads if u]
+        head = unpack_row(led[small(0, len(led) - 1)], q, width)
         at = next(c for c, d in enumerate(head) if d)
     else:
         return value
-    digits[at] = draw(st.integers(min(2, q - 1), q - 1))
+    digits[at] = small(min(2, q - 1), q - 1)
     return pack_row(digits, q)
 
 

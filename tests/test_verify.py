@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subspace_codes.construction import (
     CDC,
@@ -23,11 +23,15 @@ from subspace_codes.errors import (
 )
 from subspace_codes.fields import (
     CHUNK,
+    SUPPORTED_Q,
     field_of,
     mat_rank,
     matrix,
+    pack_row,
     packed_rank,
     packed_rref,
+    pivot_masks,
+    rref_rows,
     unpack_row,
 )
 from subspace_codes.gabidulin import gabidulin_enumerate
@@ -452,6 +456,7 @@ def test_sampled_draws_go_on_after_distance_zero():
     samples = 3 * CHUNK
     report = min_distance_sampled(repeated, samples, seed=1)
     assert report.distance == 0
+    assert report.pairs_ranked < report.pairs_checked
     assert report.topup_found == report.topup_requested == samples // 10 + 1
     assert as_tuple(report) == scalar_sampled(repeated, samples, 1)
 
@@ -500,3 +505,181 @@ def test_exhaustive_witness_in_a_later_block_matches_scalar_scan():
     assert report.pairs_checked % CHUNK != 0
     assert report.witness == (60, 99)
     assert as_tuple(report) == scalar_exhaustive(code)
+
+
+def canonical_rows(q, width, pivots, free):
+    """The canonical rows with the given pivot columns: row t is 1 at
+    pivots[t], 0 at every other pivot and left of its own, and takes its
+    other digits from the base-q digits of free."""
+    rows = []
+    for lead in pivots:
+        row = []
+        for c in range(width):
+            free, digit = divmod(free, q)
+            row.append(1 if c == lead else
+                       0 if c < lead or c in pivots else digit)
+        rows.append(pack_row(row, q))
+    return rows
+
+
+def identifying_vector(rows, q, width):
+    """The pivot columns of canonical rows as a mask, read off digit by
+    digit."""
+    mask = 0
+    for row in rows:
+        digits = unpack_row(int(row), q, width)
+        mask |= 1 << next(c for c, d in enumerate(digits) if d)
+    return mask
+
+
+@st.composite
+def spread_codes(draw, q):
+    """Small codes of canonical members over many pivot classes, some
+    members overwritten with a copy of another."""
+    width = draw(st.integers(2, 6))
+    k = draw(st.integers(1, width - 1))
+    supports = list(itertools.combinations(range(width), k))
+    members = [canonical_rows(q, width, draw(st.sampled_from(supports)),
+                              draw(st.integers(0, q ** (k * width) - 1)))
+               for _ in range(draw(st.integers(2, 12)))]
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, len(members) - 1),
+                                            st.integers(0, len(members) - 1)),
+                                  max_size=2)):
+        members[dst] = members[src]
+    return CDC(q, width, k, 2, members)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_matches_scalar_scan_over_pivot_classes(data):
+    for q in SUPPORTED_Q:
+        code = data.draw(spread_codes(q))
+        report = min_distance_exhaustive(code)
+        assert as_tuple(report) == scalar_exhaustive(code)
+        assert report.pairs_ranked >= 1
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_distance_is_at_least_the_pivot_hamming_distance(data):
+    # Etzion and Silberstein, Lemma 2: d_S(U, W) >= d_H(v(U), v(W))
+    for q in SUPPORTED_Q:
+        code = data.draw(spread_codes(q))
+        u, w = member(code, 0), member(code, 1)
+        gap = (identifying_vector(u.rows, q, code.ambient)
+               ^ identifying_vector(w.rows, q, code.ambient)).bit_count()
+        assert subspace_distance(u, w) >= gap
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_pivot_masks_match_the_scalar_pivots(data):
+    # arbitrary rows, made canonical by the scalar reference and
+    # zero-padded when they are dependent
+    for q in SUPPORTED_Q:
+        width = data.draw(st.integers(1, {2: 64, 3: 40}.get(q, 12)))
+        k = data.draw(st.integers(1, 4))
+        f = field_of(q)
+        stacks = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            drawn = data.draw(st.lists(st.integers(0, q ** width - 1),
+                                       min_size=k, max_size=k))
+            rows = list(packed_rref(drawn, f, width))
+            stacks.append(rows + [0] * (k - len(rows)))
+        got = pivot_masks(np.array(stacks, dtype=np.uint64), q, width)
+        assert got.tolist() == [identifying_vector(filter(None, rows), q, width)
+                                for rows in stacks]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_pivot_masks_across_chunk_seams(q):
+    width, k = 5, 3
+    rng = np.random.default_rng(q)
+    _, stacks = rref_rows(rng.integers(0, q ** width, size=(CHUNK + 3, k),
+                                       dtype=np.uint64), q, width)
+    assert pivot_masks(stacks, q, width).tolist() == [
+        identifying_vector(filter(None, rows), q, width)
+        for rows in stacks.tolist()]
+
+
+def test_cross_class_witness_comes_before_same_class_pairs():
+    # members 0 and 2 lead at columns {0, 1}, member 1 at {0, 2}; (0, 1)
+    # and (0, 2) are both at distance 2.  The class scan meets (0, 2)
+    # first, among the same-class pairs, and the witness pass ranks (0, 1)
+    code = CDC(2, 4, 2, 2, [(0b0001, 0b0010), (0b0001, 0b0100),
+                            (0b0001, 0b1010)])
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == scalar_exhaustive(code) == (2, (0, 1), 3)
+    assert report.pairs_ranked == 2  # (1, 2) is bounded: d_H = 2
+
+
+def test_witness_pass_walks_past_the_first_block():
+    # 64 lifted members pairwise at distance 4, all in one class, and one
+    # member of another class at distance 2 from a few of them, which are
+    # moved to the end: the witness is a cross-class pair whose index is
+    # beyond the first CHUNK pairs
+    lifted = lifted_code(2, 3, 3, 2)
+    u = lifted.codes[-1]
+    extra = np.array([u[0], u[1], 1 << 5], dtype=np.uint64)
+    near = [t for t in range(64) if subspace_distance(
+        member(lifted, t), Subspace(2, 6, tuple(extra.tolist()))) == 2]
+    assert 0 < len(near) < 8
+    keep = [t for t in range(64) if t not in near] + near
+    code = CDC(2, 6, 3, 4, np.vstack([lifted.codes[keep], extra]))
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == scalar_exhaustive(code)
+    i, j = report.witness
+    assert report.distance == 2 and j == 64
+    assert i * (2 * 65 - i - 1) // 2 + j - i - 1 > CHUNK
+
+
+def test_one_class_code_ranks_every_pair():
+    code = lifted_code(2, 3, 3, 2)
+    assert len(set(pivot_masks(code.codes, 2, 6).tolist())) == 1
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == scalar_exhaustive(code)
+    assert report.pairs_ranked >= report.pairs_checked
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_member_its_own_class(q):
+    # one member on each of the 10 pivot sets of 2 in 5 columns
+    width, k = 5, 2
+    members = [canonical_rows(q, width, pivots, 7 * t + 3)
+               for t, pivots in enumerate(
+                   itertools.combinations(range(width), k))]
+    code = CDC(q, width, k, 2, members)
+    assert len(set(pivot_masks(code.codes, q, width).tolist())) == 10
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == scalar_exhaustive(code)
+    # no pair shares a class, and pairs 4 or more bits apart are bounded
+    assert report.distance == 2
+    assert report.pairs_ranked < report.pairs_checked
+
+
+def test_exhaustive_memory_does_not_grow_with_a_class():
+    # one pivot class of 1500 members, 1,124,250 pairs: its (i, j) index
+    # arrays held whole would take 18 MB
+    full = assemble_parallel(2, 4, 4, 4, 0)
+    code = CDC(full.q, full.ambient, full.k, full.d, full.codes[:1500])
+    assert len(set(pivot_masks(code.codes, 2, code.ambient).tolist())) == 1
+    tracemalloc.start()
+    try:
+        report = min_distance_exhaustive(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 1500 * 1499 // 2
+    assert report.pairs_ranked >= report.pairs_checked
+    assert peak < 1_500_000
+
+
+def test_pairs_ranked_is_reported():
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    exhaustive = reconcile(code, 481, 2)
+    assert 0 < exhaustive.pairs_ranked < exhaustive.pairs_checked
+    assert exhaustive.to_json_dict()["pairs_ranked"] == exhaustive.pairs_ranked
+    sampled = reconcile(code, 481, 2, mode="sampled", samples=300, seed=1)
+    assert sampled.pairs_ranked == sampled.pairs_checked == 330
+    lonely = CDC(code.q, code.ambient, code.k, code.d, code.codes[:1])
+    assert min_distance_exhaustive(lonely).pairs_ranked == 0
