@@ -410,11 +410,12 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 # ---------------------------------------------------------------------------
 # The batched kernels behind every row reduction on the production path:
 # rref_rows where canonical rows are needed and join_ranks where ranks are
-# enough, both driven by _eliminate; is_canonical checks stored rows without
-# reducing them.  Only _encode, _decode, _support, _clear and the make-monic
-# step of _eliminate know the form a row takes inside them: packed bits at
-# q = 2, ones and twos bit planes at q = 3 and digit arrays otherwise.
-# packed_rref and packed_rank above are their reference.
+# enough, both driven by _eliminate, and pivot_masks, which reads the
+# identifying vector off stored rows and checks their canonical form
+# without reducing them.  Only the form helpers _encode, _decode, _support,
+# _ones, _monic and _clear know the form a row takes inside them: packed
+# bits at q = 2, ones and twos bit planes at q = 3 and digit arrays
+# otherwise.  packed_rref and packed_rank above are their reference.
 
 CHUNK = 1 << 11  # stacks, pairs or code-file lines per numpy pass
 
@@ -483,6 +484,26 @@ def _support(rows, q: int):
     return rows[:, 0] | rows[:, 1] if q == 3 else pack_rows(rows != 0, 2)
 
 
+def _ones(rows, q: int):
+    # (r, B) masks of rows held as _encode gives them: bit c is set where
+    # column c is 1
+    if q == 2:
+        return rows
+    return rows[:, 0] if q == 3 else pack_rows(rows == 1, 2)
+
+
+def _monic(v, q: int):
+    # scale each row of v, one row of every stack held as _encode gives
+    # them, so that its leading digit is 1; a GF(2) row already leads with 1
+    if q == 3:
+        # a lead of 2 (its bit in v[1]) is made 1 by swapping the planes
+        lead = v[0] | v[1]
+        v ^= (v[0] ^ v[1]) & -(v[1] & lead & -lead)
+    elif q > 3:
+        mul, _, inv = _tables(q)
+        v[...] = mul[inv[v[np.arange(len(v)), (v != 0).argmax(axis=1)]][:, None], v]
+
+
 def _clear(v, rows, q: int):
     # subtract from each of rows (n, ...) its digit at v's pivot times v,
     # v monic and held like one of them
@@ -512,17 +533,9 @@ def _eliminate(rows, q: int, reduce: bool):
     # with reduce from those above it too: single-pass Gauss-Jordan.  No
     # clearing moves a leading column.  Empty parts are skipped: each call
     # costs a few numpy dispatches.
-    if q > 3:
-        mul, _, inv = _tables(q)
-        at = np.arange(rows.shape[1])
     for t in range(len(rows) if reduce else len(rows) - 1):
         v, parts = rows[t], (rows[t + 1:], rows[:t]) if reduce else (rows[t + 1:],)
-        if q == 3:
-            # a lead of 2 (its bit in v[1]) is made 1 by swapping the planes
-            lead = v[0] | v[1]
-            v ^= (v[0] ^ v[1]) & -(v[1] & lead & -lead)
-        elif q > 3:
-            v[...] = mul[inv[v[at, (v != 0).argmax(axis=1)]][:, None], v]
+        _monic(v, q)
         for part in filter(len, parts):
             _clear(v, part, q)
     return rows
@@ -570,35 +583,24 @@ def join_ranks(heads, rows, q: int, width: int):
 
 
 def pivot_masks(rows, q: int, width: int):
-    """The identifying vector of each stack of canonical rows, as a mask.
+    """The identifying vector of each canonical stack of rows, as a mask.
 
-    ``rows`` is a (B, k) uint64 array of canonical rows packed like those
-    of :func:`rref_rows`.  Bit c of entry b is set where a row of stack b
-    leads at column c: the OR of each row's lowest support bit.
+    ``rows`` is a (B, k) uint64 array of rows packed like those of
+    :func:`rref_rows`.  Entry b is 0 unless stack b is its own
+    ``rref_rows`` output at rank k: each row's leading digit is 1, the
+    leading columns strictly increase and every leading column is zero in
+    the other rows.  Then bit c of entry b is set where a row of stack b
+    leads at column c.  Nothing is reduced.
     """
     masks = np.empty(len(rows), dtype=np.uint64)
     for lo in range(0, len(rows), CHUNK):
-        s = _support(_encode(rows[lo:lo + CHUNK].T.copy(), q, width), q)
-        masks[lo:lo + CHUNK] = np.bitwise_or.reduce(s & -s, axis=0)
+        held = _encode(rows[lo:lo + CHUNK].T.copy(), q, width)
+        s = _support(held, q)
+        low = s & -s  # each row's leading column; 0 for a zero row
+        pivots = np.bitwise_or.reduce(low, axis=0)
+        # ones & low is 0 for a zero row and for a leading digit other than 1
+        canonical = (((_ones(held, q) & low) != 0)
+                     & ((s & pivots) == low)).all(axis=0) \
+            & (low[1:] > low[:-1]).all(axis=0)
+        masks[lo:lo + CHUNK] = np.where(canonical, pivots, 0)
     return masks
-
-
-def is_canonical(support, ones):
-    """Which stacks of k rows are canonical, read off two bit masks.
-
-    ``support`` and ``ones`` are (B, k) uint64 arrays: bit c of
-    ``support[b, i]`` is set where row i of stack b has a nonzero digit in
-    column c, and bit c of ``ones[b, i]`` where that digit is 1 (a packed
-    GF(2) row is both of its masks).  Stack b is its own ``rref_rows``
-    output at rank k exactly when each row's leading digit is 1, the
-    leading columns strictly increase and every leading column is zero in
-    the other rows: no reduction needed.
-    """
-    # whole-row ops on a contiguous copy of the (k, B) transpose, several
-    # times faster than on the strided view
-    s = support.T.copy()
-    low = s & -s  # each row's leading column; 0 for a zero row
-    pivots = np.bitwise_or.reduce(low, axis=0)
-    # ones & low is 0 for a zero row and for a leading digit other than 1
-    return (((ones.T & low) != 0) & ((s & pivots) == low)).all(axis=0) \
-        & (low[1:] > low[:-1]).all(axis=0)

@@ -136,16 +136,6 @@ def _scan(code: CDC, blocks, floor: int = 0):
     return best, witness, ranked
 
 
-def _popcount(x):
-    # bits set in each word of a uint64 array: sums of 2, 4 and 8 bits,
-    # then the eight byte sums added up in the top byte
-    fives, threes = np.uint64(0x5555555555555555), np.uint64(0x3333333333333333)
-    x = x - ((x >> 1) & fives)
-    x = (x & threes) + ((x >> 2) & threes)
-    x = (x + (x >> 4)) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> 56
-
-
 def _class_pairs(keys, gap: int):
     # (a, b) arrays of the class pairs a <= b whose keys differ in gap bits,
     # in (a, b) order, a few rows of the class table at a time
@@ -153,7 +143,7 @@ def _class_pairs(keys, gap: int):
     step = max(1, 16 * CHUNK // c)
     for lo in range(0, c, step):
         a, b = np.nonzero(np.triu(
-            _popcount(keys[lo:lo + step, None] ^ keys[lo:]) == gap))
+            np.bitwise_count(keys[lo:lo + step, None] ^ keys[lo:]) == gap))
         if len(a):
             yield a + lo, b + lo
 
@@ -204,7 +194,7 @@ def _ordered_pairs(masks, end: int, within: int):
         t = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)
         i = first.searchsorted(t, "right") - 1
         j = t - first[i] + i + 1
-        near = np.flatnonzero(_popcount(masks[i] ^ masks[j]) <= within)
+        near = np.flatnonzero(np.bitwise_count(masks[i] ^ masks[j]) <= within)
         if len(near):
             yield i[near], j[near]
 

@@ -20,7 +20,6 @@ from subspace_codes.fields import (
     Extension,
     extension_field,
     field_of,
-    is_canonical,
     join_ranks,
     linearized_eval,
     mat_rank,
@@ -31,6 +30,7 @@ from subspace_codes.fields import (
     pack_rows,
     packed_rank,
     packed_rref,
+    pivot_masks,
     rref_rows,
     unpack_row,
     unpack_rows,
@@ -736,15 +736,6 @@ def binary_row(*cols):
     return [int(c in cols) for c in range(64)]
 
 
-def canonical_masks(digits, q):
-    """The (support, ones) masks of digit stacks, built as read_code does:
-    a packed GF(2) row is both of its masks."""
-    if q == 2:
-        rows = pack_rows(digits, 2)
-        return rows, rows
-    return pack_rows(digits != 0, 2), pack_rows(digits == 1, 2)
-
-
 @given(digit_stacks())
 @settings(max_examples=300, deadline=None)
 # a row leading at column 63 is the top bit of its word: s & -s still finds
@@ -758,16 +749,19 @@ def canonical_masks(digits, q):
     [binary_row(63), binary_row(63)],
     [binary_row(0), binary_row()],
 ]))
-def test_is_canonical_matches_scalar_rref(case):
-    """A stack is canonical exactly when packed_rref returns it at rank k."""
+def test_pivot_masks_match_scalar_rref(case):
+    """A stack that packed_rref returns at rank k gets its identifying
+    vector, the mask of its leading columns; any other stack gets 0."""
     q, width, stacks = case
     f = field_of(q)
-    got = is_canonical(*canonical_masks(np.array(stacks, dtype=np.uint8), q))
-    assert got.dtype == bool and got.shape == (len(stacks),)
+    packed = [tuple(pack_row(r, q) for r in rows) for rows in stacks]
+    got = pivot_masks(np.array(packed, dtype=np.uint64), q, width)
+    assert got.dtype == np.uint64 and got.shape == (len(stacks),)
     for b, rows in enumerate(stacks):
-        packed = [pack_row(r, q) for r in rows]
         # equality leaves no room for zero rows, so the rank is k
-        assert bool(got[b]) == (packed_rref(packed, f, width) == tuple(packed)), rows
+        want = sum(1 << next(c for c, d in enumerate(r) if d) for r in rows) \
+            if packed_rref(packed[b], f, width) == packed[b] else 0
+        assert int(got[b]) == want, rows
 
 
 @st.composite

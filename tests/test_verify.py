@@ -532,6 +532,15 @@ def identifying_vector(rows, q, width):
     return mask
 
 
+def scalar_pivot_mask(rows, q, width):
+    """What pivot_masks gives a stack: its identifying vector when
+    packed_rref returns it at rank k, else 0."""
+    rows = tuple(rows)
+    if packed_rref(rows, field_of(q), width) != rows:
+        return 0
+    return identifying_vector(rows, q, width)
+
+
 @st.composite
 def spread_codes(draw, q):
     """Small codes of canonical members over many pivot classes, some
@@ -575,7 +584,8 @@ def test_distance_is_at_least_the_pivot_hamming_distance(data):
 @settings(max_examples=40, deadline=None)
 def test_pivot_masks_match_the_scalar_pivots(data):
     # arbitrary rows, made canonical by the scalar reference and
-    # zero-padded when they are dependent
+    # zero-padded when they are dependent, which makes them not canonical
+    # at rank k
     for q in SUPPORTED_Q:
         width = data.draw(st.integers(1, {2: 64, 3: 40}.get(q, 12)))
         k = data.draw(st.integers(1, 4))
@@ -587,7 +597,7 @@ def test_pivot_masks_match_the_scalar_pivots(data):
             rows = list(packed_rref(drawn, f, width))
             stacks.append(rows + [0] * (k - len(rows)))
         got = pivot_masks(np.array(stacks, dtype=np.uint64), q, width)
-        assert got.tolist() == [identifying_vector(filter(None, rows), q, width)
+        assert got.tolist() == [scalar_pivot_mask(rows, q, width)
                                 for rows in stacks]
 
 
@@ -598,8 +608,7 @@ def test_pivot_masks_across_chunk_seams(q):
     _, stacks = rref_rows(rng.integers(0, q ** width, size=(CHUNK + 3, k),
                                        dtype=np.uint64), q, width)
     assert pivot_masks(stacks, q, width).tolist() == [
-        identifying_vector(filter(None, rows), q, width)
-        for rows in stacks.tolist()]
+        scalar_pivot_mask(rows, q, width) for rows in stacks.tolist()]
 
 
 def test_cross_class_witness_comes_before_same_class_pairs():
