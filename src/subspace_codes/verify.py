@@ -94,9 +94,10 @@ class DistanceReport:
     then flagged vacuous and carries the unreachable value 2 * ambient,
     which compares as at least any claimed distance.  ``pairs_ranked`` of
     the ``pairs_checked`` pairs had their rank computed: the exhaustive scan
-    bounds the others, and a sampled scan stops ranking at distance 0 while
-    its draws go on.  ``topup_found`` of ``topup_requested`` stratified
-    cross-round pairs were sampled.
+    bounds the others, and stops at distance 2 once the members are
+    distinct; a sampled scan stops ranking at distance 0 while its draws go
+    on.  ``topup_found`` of ``topup_requested`` stratified cross-round
+    pairs were sampled.
     """
 
     distance: int
@@ -210,7 +211,10 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
     canonical rows.  By Etzion and Silberstein (IEEE Trans. IT 2009,
     Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), so class pairs are ranked in
     increasing d_H, same-class pairs first, until the next d_H is at least
-    the minimum found; the pairs left are bounded, not ranked.  A witness
+    the minimum found; the pairs left are bounded, not ranked.  When the
+    stored rows are distinct (``CDC.distinct_count``) the scan also stops
+    at 2: the distance 2 (k - dim U∩W) is even and 0 only for equal
+    subspaces (Koetter and Kschischang, IEEE Trans. IT 2008).  A witness
     pass then ranks, in (i, j) order, the pairs before the candidate
     witness whose d_H is at most the minimum, so the witness is the first
     pair at the minimum in (i, j) order.  ``pairs_checked`` counts every
@@ -233,14 +237,16 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
     starts = np.flatnonzero(np.concatenate([[True], held[1:] != held[:-1]]))
     sizes, keys = np.diff(np.append(starts, m)), held[starts]
 
+    # the least distance the members allow: distinct ones are at least 2 apart
+    least = 2 if code.distinct_count() == m else 0
     best = witness = None
     ranked = 0
     for gap in range(2 * code.k + 1):  # two k-bit masks differ in <= 2k bits
-        if best is not None and best <= gap:
+        if best is not None and best <= max(gap, least):
             break
         blocks = _pair_blocks(order, _runs(order, starts, sizes,
                                            _class_pairs(keys, gap)))
-        dist, pair, n = _scan(code, blocks, floor=gap)
+        dist, pair, n = _scan(code, blocks, floor=max(gap, least))
         ranked += n
         if dist is not None and (best is None or (dist, pair) < (best, witness)):
             best, witness = dist, pair

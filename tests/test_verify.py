@@ -650,6 +650,38 @@ def test_one_class_code_ranks_every_pair():
     assert report.pairs_ranked >= report.pairs_checked
 
 
+def test_floor_falls_back_to_zero_when_rows_repeat():
+    # 70 members of the class 0b11, whose 2415 pairs fill more than one
+    # block and put (0, 5) at distance 2 in the first, then member 480 of
+    # the later class 0b10001 and its copy: the duplicate pair (70, 71)
+    # comes last in class order and in (i, j) order.  A floor of 2 would
+    # end the scan on the first block
+    base = assemble_parallel(2, 2, 2, 2, 1)
+    code = CDC(base.q, base.ambient, base.k, base.d,
+               base.codes[[*range(70), 480, 480]])
+    masks = pivot_masks(code.codes, 2, code.ambient).tolist()
+    assert masks == [0b11] * 70 + [0b10001] * 2
+    assert 70 * 69 // 2 > CHUNK
+    assert subspace_distance(member(code, 0), member(code, 5)) == 2
+    assert code.distinct_count() == len(code) - 1
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == scalar_exhaustive(code) == (0, (70, 71), 2556)
+
+
+def test_distance_two_codes_stop_at_the_first_block():
+    # distinct members are at least 2 apart: the class scan ends on its
+    # first block that holds a distance-2 pair, and the witness pass ranks
+    # only the pairs before that candidate
+    code = assemble_parallel(2, 3, 3, 2, 0)
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == (2, (0, 73), 365085)
+    assert report.pairs_ranked <= CHUNK + 72
+    code = assemble_parallel(2, 4, 3, 2, 0)
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == (2, (0, 257), 16077285)
+    assert report.pairs_ranked < 2 * CHUNK + 257
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_every_member_its_own_class(q):
     # one member on each of the 10 pivot sets of 2 in 5 columns
