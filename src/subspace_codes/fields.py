@@ -373,16 +373,26 @@ def unpack_row(value: int, q: int, width: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _digit_table(q: int, g: int) -> np.ndarray:
+    x = np.arange(q ** g, dtype=np.uint64)[:, None]
+    return (x // q ** np.arange(g, dtype=np.uint64) % q).astype(np.uint8)
+
+
 def unpack_rows(rows, q: int, width: int) -> np.ndarray:
-    """unpack_row over a uint64 array: a trailing axis of uint8 digits."""
-    # one floor division by the scalar q per digit; numpy has a fast loop
-    # for a scalar divisor and none for an array of powers
+    """unpack_row along a new uint8 axis; a row >= q**width is an IndexError."""
+    # g digits per lookup in a table of at most 48 KB (q**g <= 2**12), one
+    # floor division by the scalar q**g between groups; a row clamped to
+    # q**width fails the last lookup instead of indexing from the table's end
+    g = max(c for c in range(1, 13) if q ** c <= 1 << 12)
     digits = np.empty(rows.shape + (width,), dtype=np.uint8)
-    base = np.uint64(q)
-    for c in range(width):
-        rest = rows // base
-        digits[..., c] = rows - rest * base
-        rows = rest
+    rows = np.minimum(rows, min(q ** width, (1 << 64) - 1))
+    for c in range(0, width, g):
+        group = rows
+        if c + g < width:
+            rows = group // np.uint64(q ** g)
+            group = group - rows * np.uint64(q ** g)
+        digits[..., c:c + g] = _digit_table(q, min(g, width - c)).take(group, axis=0)
     return digits
 
 

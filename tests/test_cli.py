@@ -308,12 +308,13 @@ def test_import_fills_no_cache():
     probe = ("import subspace_codes.cli\n"
              "from subspace_codes import fields, verify\n"
              "caches = (fields._field, fields.field_of, fields.extension_field, "
-             "fields._tables, fields._plane_tables, verify._lcg_jump)\n"
+             "fields._tables, fields._plane_tables, fields._digit_table, "
+             "verify._lcg_jump)\n"
              "print([c.cache_info().currsize for c in caches])")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]"
 
 
 @pytest.mark.parametrize("exc", [InternalConsistencyError("round member lost rank"),

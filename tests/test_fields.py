@@ -680,8 +680,9 @@ def test_kernels_take_only_their_own_row_form(monkeypatch, q):
         raise AssertionError(f"q = {q} rows built tables of another row form")
 
     # the lru-cached tables of the forms that q's rows must not take
-    other_forms = {2: ("_tables", "_plane_tables"), 3: ("_tables",),
-                   4: ("_plane_tables",)}
+    other_forms = {2: ("_tables", "_plane_tables", "_digit_table"),
+                   3: ("_tables",), 4: ("_plane_tables",)}
+    field_of(q)  # built first: Field.__init__ unpacks its add table
     for name in other_forms[q]:
         monkeypatch.setattr(fields, name, refuse)
     # leads other than 1, a lead in the top column and a dependent stack
@@ -792,6 +793,28 @@ def test_row_codec_matches_scalar_and_roundtrips(case):
     for index, value in np.ndenumerate(rows):
         assert digits[index].tolist() == unpack_row(int(value), q, width)
         assert int(packed[index]) == pack_row(digits[index].tolist(), q)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_row_codec_at_digit_group_seams(q):
+    # unpack_rows reads g digits per lookup, g the widest with q**g <= 2**12
+    g = max(c for c in range(1, 13) if q ** c <= 1 << 12)
+    rng = np.random.default_rng(q)
+    for width in sorted({1, g - 1, g, g + 1, 2 * g + 1, WIDTH_LIMIT[q]} - {0}):
+        values = [0, 1, q ** width - 1] + [
+            pack_row(rng.integers(0, q, width).tolist(), q) for _ in range(6)]
+        rows = np.array(values, dtype=np.uint64).reshape(3, 3)
+        for held in (rows, rows.T):
+            digits = unpack_rows(held, q, width)
+            assert np.array_equal(pack_rows(digits, q), held)
+            for index, value in np.ndenumerate(held):
+                assert digits[index].tolist() == unpack_row(int(value), q, width)
+        # a row at or above q**width is refused, never read as other digits;
+        # 2**64 - 1 would index a table from its end if it were not clamped
+        for bad in {q ** width, (1 << 64) - 1}:
+            if q ** width <= bad < 1 << 64:
+                with pytest.raises(IndexError):
+                    unpack_rows(np.array([[1, bad]], dtype=np.uint64), q, width)
 
 
 def test_mat_sub():
