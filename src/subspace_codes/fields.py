@@ -357,6 +357,8 @@ def mat_rref(a: MatrixGF) -> MatrixGF:
 # integer sum(entry_c * q**c), column 0 in the least significant digit, for
 # every q.  packed_rank and packed_rref unpack the rows and run the scalar
 # _row_reduce on them; the batched kernels below are the fast path.
+# span_words builds the GF(p)-span of words of packed rows, such as the MRD
+# codes, on one preallocated digit array filled in place with no division.
 
 def pack_row(row, q: int) -> int:
     v = 0
@@ -403,6 +405,27 @@ def pack_rows(digits, q: int) -> np.ndarray:
         rows *= np.uint64(q)
         rows += digits[..., c]
     return rows
+
+
+def span_words(basis, p: int, width: int) -> np.ndarray:
+    """All p**m GF(p)-combinations of m words of k rows, as a (p**m, k) array.
+
+    Word t is sum(digit_i(t) * basis[i]) digit by digit mod p, digit 0 of t
+    in base p stepping fastest.  The digits are filled in place, one basis
+    word at a time: block c is acc + (c * word) % p, below 2p, and the
+    wrapping subtract in minimum(block, block - p) reduces it mod p with no
+    division.
+    """
+    words = unpack_rows(basis, p, width)
+    acc = np.zeros((p ** len(words),) + words.shape[1:], dtype=np.uint8)
+    size = 1
+    for word in words:
+        for c in range(1, p):
+            block = acc[c * size:(c + 1) * size]
+            np.add(acc[:size], (c * word) % p, out=block)
+            np.minimum(block, block - np.uint8(p), out=block)
+        size *= p
+    return pack_rows(acc, p)
 
 
 def packed_rank(rows, field: Field, width: int) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import truncated_rank_sum
 from .errors import BudgetExceededError, InternalConsistencyError, InvalidParameterError
-from .fields import extension_field, field_of, join_ranks, pack_rows, unpack_rows
+from .fields import extension_field, field_of, join_ranks, span_words
 
 DEFAULT_ENUM_BUDGET = 2 ** 24
 BUDGET_ENV_VAR = "SUBSPACE_ENUM_BUDGET"
@@ -78,8 +78,9 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
     With q = p^e, message t maps GF(p)-linearly to its word, digit i of t in
     base p scaling the basis word of message p^i.  Only those e*n*kappa basis
     words are built, read off the extension's coordinate table; the code is
-    their GF(p)-span, built on base-p digit arrays in message order and
-    packed once.
+    their GF(p)-span in message order, from ``fields.span_words``, which
+    fills one preallocated base-p digit array in place, reduces each sum
+    mod p with no division, and packs it once.
     """
     if not 1 <= delta <= k <= n:
         raise InvalidParameterError(
@@ -98,17 +99,12 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
     p = base.p
     # message p^i, i = j*E.e + t, has the single coefficient f_j = x^t = g^t,
     # whose value at the point g^r is g^(t + r*q^j): a lookup in coords.
-    # acc holds the words of messages 0 .. p^i - 1 as base-p digits
+    # Entry c of a row has its base-p digits at positions c*e .. c*e + e - 1,
+    # so a packed GF(q) row read in base p is its GF(p) coordinate row
     logs = [[(t + r * pow(q, j, E.q - 1)) % (E.q - 1) for r in range(k)]
             for j in range(kappa) for t in range(E.e)]
-    words = unpack_rows(ext.coords[np.array(E._exp)[logs]], p, n * base.e)
-    acc = np.zeros((1, k, n * base.e), dtype=np.uint8)
-    for word in words:
-        acc = np.concatenate([(acc + c * word) % p for c in range(p)])
-
-    # entry c of a row has its base-p digits at positions c*e .. c*e + e - 1,
-    # so the packed row sum(entry_c * q**c) is sum(digit_j * p**j)
-    return RankCode(q, n, k, delta, pack_rows(acc, p))
+    basis = ext.coords[np.array(E._exp)[logs]]
+    return RankCode(q, n, k, delta, span_words(basis, p, n * base.e))
 
 
 def _ranks(code: RankCode):

@@ -32,6 +32,7 @@ from subspace_codes.fields import (
     packed_rref,
     pivot_masks,
     rref_rows,
+    span_words,
     unpack_row,
     unpack_rows,
 )
@@ -815,6 +816,37 @@ def test_row_codec_at_digit_group_seams(q):
             if q ** width <= bad < 1 << 64:
                 with pytest.raises(IndexError):
                     unpack_rows(np.array([[1, bad]], dtype=np.uint64), q, width)
+
+
+@st.composite
+def span_bases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    width = draw(st.one_of(st.just(WIDTH_LIMIT[p]),
+                           st.integers(1, WIDTH_LIMIT[p])))
+    m, k = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    top = p ** width - 1
+    basis = [[draw(st.one_of(st.just(top), st.integers(0, top)))
+              for _ in range(k)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        # two all-(p - 1) rows in one place: the sums reach 2p - 2, the
+        # largest value the wrapping reduction has to bring back below p
+        basis[0][0] = basis[-1][0] = top
+    return p, width, np.array(basis, dtype=np.uint64).reshape(m, k)
+
+
+@given(span_bases())
+@settings(max_examples=150, deadline=None)
+def test_span_words_matches_scalar_combinations(case):
+    p, width, basis = case
+    m, k = basis.shape
+    got = span_words(basis, p, width)
+    assert got.dtype == np.uint64 and got.shape == (p ** m, k)
+    digits = [[unpack_row(int(v), p, width) for v in word] for word in basis]
+    for t, word in enumerate(got.tolist()):
+        coeffs = unpack_row(t, p, m)
+        want = [pack_row([sum(a * digits[i][r][c] for i, a in enumerate(coeffs)) % p
+                          for c in range(width)], p) for r in range(k)]
+        assert word == want, (t, coeffs)
 
 
 def test_mat_sub():

@@ -1,5 +1,6 @@
 """Explicit enumeration of evaluation codes and the rank filter."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -167,6 +168,20 @@ def test_budget_guard():
     assert len(small) == 8
     with pytest.raises(BudgetExceededError):
         gabidulin_enumerate(2, 3, 3, 3, budget=7)
+
+
+def test_budget_refusal_comes_before_the_span_is_allocated():
+    # 2^32 words of 5 rows of 8 digits would be 171 GB of span digits; the
+    # GF(2^8) tables (1.1 MB on first use) are cached before the check
+    extension_field(2, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            gabidulin_enumerate(2, 8, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_budget_resolution(monkeypatch):
