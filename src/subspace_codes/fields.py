@@ -443,12 +443,12 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 # ---------------------------------------------------------------------------
 # The batched kernels behind every row reduction on the production path:
 # rref_rows where canonical rows are needed and join_ranks where ranks are
-# enough, both driven by _eliminate, and pivot_masks, which reads the
-# identifying vector off stored rows and checks their canonical form
-# without reducing them.  Only the form helpers _encode, _decode, _support,
-# _ones, _monic and _clear know the form a row takes inside them: packed
-# bits at q = 2, ones and twos bit planes at q = 3 and digit arrays
-# otherwise.  packed_rref and packed_rank above are their reference.
+# enough, both driven by _eliminate, and pivot_masks, which checks stored
+# rows for canonical form without reducing them.  All three read leading
+# columns and ranks off _leads.  Only the form helpers _encode, _decode,
+# _leads, _ones, _monic and _clear know a row's form: packed bits at q = 2,
+# ones and twos bit planes at q = 3 and digit arrays otherwise.
+# packed_rref and packed_rank above are their reference.
 
 CHUNK = 1 << 11  # stacks, pairs or code-file lines per numpy pass
 
@@ -509,12 +509,13 @@ def _decode(held, q: int, width: int):
     return rows
 
 
-def _support(rows, q: int):
-    # (r, B) masks of rows held as _encode gives them: bit c is set where
-    # column c is nonzero
-    if q == 2:
-        return rows
-    return rows[:, 0] | rows[:, 1] if q == 3 else pack_rows(rows != 0, 2)
+def _leads(rows, q: int):
+    # rows held as _encode gives them: (r, B) supports, bit c set where column
+    # c is nonzero, their lowest set bits and the (B,) pivots, their union
+    s = rows if q == 2 else (rows[:, 0] | rows[:, 1] if q == 3
+                             else pack_rows(rows != 0, 2))
+    low = s & -s
+    return s, low, np.bitwise_or.reduce(low, axis=0)
 
 
 def _ones(rows, q: int):
@@ -582,15 +583,17 @@ def rref_rows(rows, q: int, width: int):
     where ``reduced[b, :ranks[b]]`` is ``packed_rref(rows[b], field_of(q),
     width)``, the canonical rows in pivot order, and the rest are zero.
     """
-    reduced = np.empty_like(rows)
+    ranks = np.empty(len(rows), dtype=np.int64)
+    reduced = np.zeros_like(rows)
     for lo in range(0, len(rows), CHUNK):
         held = _eliminate(_encode(rows[lo:lo + CHUNK].T.copy(), q, width), q, True)
-        # sort each stack's rows by leading column, zero rows last
-        support = _support(held, q)
-        key = np.where(support, support & -support, ~np.uint64(0))
-        reduced[lo:lo + CHUNK] = np.take_along_axis(
-            _decode(held, q, width), key.argsort(axis=0), axis=0).T
-    return np.count_nonzero(reduced, axis=1), reduced
+        # row t goes after the pivots left of its lead; low - 1 is all ones
+        # for a zero row, so every zero row writes its 0 at index rank
+        _, low, pivots = _leads(held, q)
+        at = np.bitwise_count(pivots & (low - 1))
+        np.put_along_axis(reduced[lo:lo + CHUNK].T, at, _decode(held, q, width), 0)
+        ranks[lo:lo + CHUNK] = np.bitwise_count(pivots)
+    return ranks, reduced
 
 
 def join_ranks(heads, rows, q: int, width: int):
@@ -604,14 +607,13 @@ def join_ranks(heads, rows, q: int, width: int):
     """
     # a canonical head row is monic and leads at its pivot; clearing every
     # head pivot from the rows leaves them independent of the heads, so
-    # forward elimination alone counts what they add
+    # forward elimination counts what they add, one pivot per nonzero row
     ranks = np.empty(len(rows), dtype=np.int64)
     for lo in range(0, len(rows), CHUNK):
         w = _encode(rows[lo:lo + CHUNK].T.copy(), q, width)
         for u in _encode(heads[lo:lo + CHUNK].T.copy(), q, width):
             _clear(u, w, q)
-        ranks[lo:lo + CHUNK] = np.count_nonzero(
-            _support(_eliminate(w, q, False), q), axis=0)
+        ranks[lo:lo + CHUNK] = np.bitwise_count(_leads(_eliminate(w, q, False), q)[2])
     return ranks
 
 
@@ -628,9 +630,7 @@ def pivot_masks(rows, q: int, width: int):
     masks = np.empty(len(rows), dtype=np.uint64)
     for lo in range(0, len(rows), CHUNK):
         held = _encode(rows[lo:lo + CHUNK].T.copy(), q, width)
-        s = _support(held, q)
-        low = s & -s  # each row's leading column; 0 for a zero row
-        pivots = np.bitwise_or.reduce(low, axis=0)
+        s, low, pivots = _leads(held, q)
         # ones & low is 0 for a zero row and for a leading digit other than 1
         canonical = (((_ones(held, q) & low) != 0)
                      & ((s & pivots) == low)).all(axis=0) \

@@ -86,7 +86,6 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
         raise InvalidParameterError(
             f"need 1 <= delta <= k <= n, got delta={delta}, k={k}, n={n}")
     base = field_of(q)
-    ext = extension_field(q, n)
     kappa = k - delta + 1
     cardinality = q ** (n * kappa)
     allowed = resolve_enum_budget(budget)
@@ -95,6 +94,7 @@ def gabidulin_enumerate(q: int, n: int, k: int, delta: int,
             f"enumeration of {cardinality} codewords exceeds the budget of "
             f"{allowed}; pass a larger budget or set {BUDGET_ENV_VAR}")
 
+    ext = extension_field(q, n)
     E = ext.ext
     p = base.p
     # message p^i, i = j*E.e + t, has the single coefficient f_j = x^t = g^t,

@@ -5,9 +5,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from subspace_codes import cli
+from subspace_codes.bounds import block_cardinalities
 from subspace_codes.cli import main
 from subspace_codes.codefile import read_code
 from subspace_codes.construction import Subspace
@@ -160,6 +162,25 @@ def test_construct_verify_roundtrip(capsys, tmp_path):
     assert rc == 0
     assert "sampled" in out and "1100 pairs" in out
     assert "ranked pairs      1100\n" in out
+
+
+@pytest.mark.parametrize("params", [(3, 2, 2, 2, 0), (3, 2, 2, 2, 1),
+                                    (2, 2, 2, 2, 2)])
+def test_construct_prints_the_round_breakdown(capsys, tmp_path, params):
+    q, n, k, d, s = params
+    out_path = tmp_path / "code.txt"
+    rc, out, _ = run(capsys, "construct", "--q", str(q), "--n", str(n),
+                     "--k", str(k), "--d", str(d), "--s", str(s),
+                     "--out", str(out_path))
+    assert rc == 0
+    sizes = block_cardinalities(*params)
+    assert len(sizes) == s + 2 and min(sizes) > 0
+    code = read_code(out_path)
+    assert len(code) == sum(sizes)
+    assert np.bincount(code.rounds).tolist() == sizes
+    assert out == (f"wrote {sum(sizes)} members ({'+'.join(map(str, sizes))}) "
+                   f"of a (q={q}, N={(s + 1) * k + n}, d={d}, k={k}) code to "
+                   f"{out_path}\n")
 
 
 def test_verify_overclaimed_distance_fails(capsys, tmp_path):

@@ -425,10 +425,11 @@ WIDTH_LIMIT = {2: 64, 3: 40, 4: 32, 5: 27, 7: 22, 8: 21, 9: 20}
 def assert_matches_scalar(stacks, q, width):
     """rref_rows agrees with packed_rref and packed_rank stack by stack."""
     f = field_of(q)
-    ranks, reduced = rref_rows(np.array(stacks, dtype=np.uint64), q, width)
-    assert ranks.shape == (len(stacks),)
-    assert reduced.shape == (len(stacks), len(stacks[0]))
-    for b, rows in enumerate(stacks):
+    stacks = np.array(stacks, dtype=np.uint64)
+    ranks, reduced = rref_rows(stacks, q, width)
+    assert ranks.shape == (len(stacks),) and ranks.dtype == np.int64
+    assert reduced.shape == stacks.shape and reduced.dtype == np.uint64
+    for b, rows in enumerate(stacks.tolist()):
         ref = packed_rref(rows, f, width)
         assert int(ranks[b]) == len(ref) == packed_rank(rows, f, width)
         assert reduced[b].tolist() == list(ref) + [0] * (len(rows) - len(ref))
@@ -520,6 +521,24 @@ def test_rref_rows_matches_scalar_kernels(data):
     for q in SUPPORTED_Q:
         width, stacks = data.draw(row_stacks(q))
         assert_matches_scalar(stacks, q, width)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_rref_rows_places_rows_by_their_leads(q):
+    # e[c] is the unit row of column c and a = q - 1 a lead other than 1
+    # (for q > 2); rows reach every output index, zero rows collide on
+    # index rank, and an all-zero stack puts every row on index 0
+    e, a = [q ** c for c in range(4)], q - 1
+    assert_matches_scalar([
+        [e[3], e[2] + a * e[3], a * e[1] + e[2], e[0] + e[3]],  # reverse order
+        [a * e[3], a * e[2], e[1] + e[3], a * e[0] + e[1]],
+        [0, e[2] + e[3], 0, a * e[0] + e[2]],  # two zero rows
+        [e[1] + e[2], a * e[1] + a * e[2], e[3], a * e[3]],  # two become zero
+        [0, 0, 0, a * e[1]],
+        [0, 0, 0, 0],
+    ], q, 4)
+    assert_matches_scalar(np.zeros((0, 3), dtype=np.uint64), q, 4)
+    assert_matches_scalar(np.zeros((3, 0), dtype=np.uint64), q, 4)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

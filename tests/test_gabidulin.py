@@ -171,9 +171,9 @@ def test_budget_guard():
 
 
 def test_budget_refusal_comes_before_the_span_is_allocated():
-    # 2^32 words of 5 rows of 8 digits would be 171 GB of span digits; the
-    # GF(2^8) tables (1.1 MB on first use) are cached before the check
-    extension_field(2, 8)
+    # 2^32 words of 5 rows of 8 digits would be 171 GB of span digits, and
+    # the GF(2^8) tables take 1.1 MB on first use: the refusal builds neither
+    entries = extension_field.cache_info().currsize
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
@@ -182,6 +182,12 @@ def test_budget_refusal_comes_before_the_span_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+    assert extension_field.cache_info().currsize == entries
+    # so a shape too large to enumerate is refused for its size even when
+    # GF(2^9) has no modulus on record
+    with pytest.raises(BudgetExceededError):
+        gabidulin_enumerate(2, 9, 5, 2)
+    assert extension_field.cache_info().currsize == entries
 
 
 def test_budget_resolution(monkeypatch):
