@@ -8,6 +8,10 @@ The bound selector tokens are short tags rather than function names:
 ``thm2`` is the two-block lower bound, ``thm3`` the general parallel lower
 bound with --s rounds, ``johnson1`` the anticode-ratio upper bound and
 ``johnson2`` the iterated puncturing upper bound.
+
+A run whose first argument names a subcommand builds only that parser, since
+building all five is most of a short run's own time; any other argument list
+gets the full parser, so help and error messages read the same either way.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import InvalidParameterError
 from .verify import reconcile
 
 FORMATS = ("human", "csv", "json")
+_COMMANDS = ("bound", "dist", "table", "construct", "verify")
 
 
 def _require(cond: bool, message: str):
@@ -153,64 +158,74 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subspace-codes",
         description="Bounds, constructions and verification for "
                     "constant-dimension subspace codes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # the usage line lists every command, as the full parser's does
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
 
-    b = sub.add_parser("bound", help="evaluate one bound")
-    b.add_argument("mode", choices=("thm2", "thm3", "johnson1", "johnson2"))
-    b.add_argument("--q", type=int, required=True, help="field order")
-    b.add_argument("--n", type=int, required=True,
-                   help="matrix width (lower bounds) or ambient dimension "
-                        "(upper bounds)")
-    b.add_argument("--k", type=int, required=True, help="codeword dimension")
-    b.add_argument("--d", type=int, required=True,
-                   help="minimum subspace distance, even")
-    b.add_argument("--s", type=int, help="extra rounds, thm3 only")
-    b.add_argument("--base", type=int,
-                   help="seed value for the iterated bound, johnson2 only")
-    b.add_argument("--format", choices=FORMATS, default="human")
-    b.set_defaults(handler=cmd_bound)
+    if command in (None, "bound"):
+        b = sub.add_parser("bound", help="evaluate one bound")
+        b.add_argument("mode", choices=("thm2", "thm3", "johnson1", "johnson2"))
+        b.add_argument("--q", type=int, required=True, help="field order")
+        b.add_argument("--n", type=int, required=True,
+                       help="matrix width (lower bounds) or ambient dimension "
+                            "(upper bounds)")
+        b.add_argument("--k", type=int, required=True, help="codeword dimension")
+        b.add_argument("--d", type=int, required=True,
+                       help="minimum subspace distance, even")
+        b.add_argument("--s", type=int, help="extra rounds, thm3 only")
+        b.add_argument("--base", type=int,
+                       help="seed value for the iterated bound, johnson2 only")
+        b.add_argument("--format", choices=FORMATS, default="human")
+        b.set_defaults(handler=cmd_bound)
 
-    di = sub.add_parser("dist", help="exact rank distribution")
-    di.add_argument("--q", type=int, required=True)
-    di.add_argument("--m", type=int, required=True, help="matrix width, m >= nmin")
-    di.add_argument("--nmin", type=int, required=True, help="matrix height")
-    di.add_argument("--d", type=int, required=True, help="minimum rank distance")
-    di.add_argument("--format", choices=FORMATS, default="human")
-    di.set_defaults(handler=cmd_dist)
+    if command in (None, "dist"):
+        di = sub.add_parser("dist", help="exact rank distribution")
+        di.add_argument("--q", type=int, required=True)
+        di.add_argument("--m", type=int, required=True, help="matrix width, m >= nmin")
+        di.add_argument("--nmin", type=int, required=True, help="matrix height")
+        di.add_argument("--d", type=int, required=True, help="minimum rank distance")
+        di.add_argument("--format", choices=FORMATS, default="human")
+        di.set_defaults(handler=cmd_dist)
 
-    t = sub.add_parser("table", help="recompute the shipped reference table")
-    t.add_argument("action", choices=("reproduce",))
-    t.add_argument("--format", choices=FORMATS, default="human")
-    t.set_defaults(handler=cmd_table)
+    if command in (None, "table"):
+        t = sub.add_parser("table", help="recompute the shipped reference table")
+        t.add_argument("action", choices=("reproduce",))
+        t.add_argument("--format", choices=FORMATS, default="human")
+        t.set_defaults(handler=cmd_table)
 
-    c = sub.add_parser("construct", help="assemble a code and write it out")
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--n", type=int, required=True, help="matrix width, n >= k")
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--s", type=int, required=True, help="extra rounds, >= 0")
-    c.add_argument("--out", required=True, help="output path")
-    c.set_defaults(handler=cmd_construct)
+    if command in (None, "construct"):
+        c = sub.add_parser("construct", help="assemble a code and write it out")
+        c.add_argument("--q", type=int, required=True)
+        c.add_argument("--n", type=int, required=True, help="matrix width, n >= k")
+        c.add_argument("--k", type=int, required=True)
+        c.add_argument("--d", type=int, required=True)
+        c.add_argument("--s", type=int, required=True, help="extra rounds, >= 0")
+        c.add_argument("--out", required=True, help="output path")
+        c.set_defaults(handler=cmd_construct)
 
-    v = sub.add_parser("verify", help="check a stored code against its claims")
-    v.add_argument("--in", dest="infile", required=True, help="code file")
-    v.add_argument("--d", type=int, required=True, help="claimed distance")
-    v.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
-    v.add_argument("--samples", type=int, default=10 ** 6,
-                   help="pair samples in sampled mode")
-    v.add_argument("--seed", type=int, default=0)
-    v.set_defaults(handler=cmd_verify)
+    if command in (None, "verify"):
+        v = sub.add_parser("verify", help="check a stored code against its claims")
+        v.add_argument("--in", dest="infile", required=True, help="code file")
+        v.add_argument("--d", type=int, required=True, help="claimed distance")
+        v.add_argument("--mode", choices=("exhaustive", "sampled"),
+                       default="exhaustive")
+        v.add_argument("--samples", type=int, default=10 ** 6,
+                       help="pair samples in sampled mode")
+        v.add_argument("--seed", type=int, default=0)
+        v.set_defaults(handler=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except MemoryError:

@@ -236,8 +236,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
         np.add(acc[:, None, :], parts[-1][None, :, :],
                out=out.reshape(len(acc), len(parts[-1]), k))
         if pivot_offset:
-            ranks, out[...] = rref_rows(out, q, ambient)
-            if (ranks != k).any():
+            if (rref_rows(out, q, ambient) != k).any():
                 raise InternalConsistencyError("round member lost rank")
         written += size
         return size

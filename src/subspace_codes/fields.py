@@ -576,24 +576,25 @@ def _eliminate(rows, q: int, reduce: bool):
 
 
 def rref_rows(rows, q: int, width: int):
-    """Rank and reduced echelon form of each stack of packed rows.
+    """Reduce each stack of packed rows to reduced echelon form, in place.
 
-    ``rows`` is a (B, r) uint64 array; ``rows[b]`` holds r rows of
-    GF(q)^width packed as sum(entry_c * q**c).  Returns ``(ranks, reduced)``
-    where ``reduced[b, :ranks[b]]`` is ``packed_rref(rows[b], field_of(q),
-    width)``, the canonical rows in pivot order, and the rest are zero.
+    ``rows`` is a writable (B, r) uint64 array; ``rows[b]`` holds r rows of
+    GF(q)^width packed as sum(entry_c * q**c).  Stack b is overwritten with
+    ``packed_rref`` of its rows over ``field_of(q)``, the canonical rows in
+    pivot order, followed by zero rows.  Returns the ranks.
     """
     ranks = np.empty(len(rows), dtype=np.int64)
-    reduced = np.zeros_like(rows)
     for lo in range(0, len(rows), CHUNK):
-        held = _eliminate(_encode(rows[lo:lo + CHUNK].T.copy(), q, width), q, True)
+        block = rows[lo:lo + CHUNK]
+        held = _eliminate(_encode(block.T.copy(), q, width), q, True)
         # row t goes after the pivots left of its lead; low - 1 is all ones
         # for a zero row, so every zero row writes its 0 at index rank
         _, low, pivots = _leads(held, q)
-        at = np.bitwise_count(pivots & (low - 1))
-        np.put_along_axis(reduced[lo:lo + CHUNK].T, at, _decode(held, q, width), 0)
+        block[...] = 0
+        np.put_along_axis(block.T, np.bitwise_count(pivots & (low - 1)),
+                          _decode(held, q, width), 0)
         ranks[lo:lo + CHUNK] = np.bitwise_count(pivots)
-    return ranks, reduced
+    return ranks
 
 
 def join_ranks(heads, rows, q: int, width: int):

@@ -1,5 +1,6 @@
 """End-to-end coverage of the command line surface, in process."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -351,3 +352,60 @@ def test_internal_failures_exit_2(capsys, monkeypatch, tmp_path, exc):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# the argv corpus of the one-command build: CODE stands for a code file that
+# a valid construct has written
+CODE = "CODE"
+SHAPE = ("--q", "2", "--n", "2", "--k", "2", "--d", "2")
+COMMANDS = ("bound", "dist", "table", "construct", "verify")
+CORPUS = [
+    (), ("-h",), ("--help",),
+    ("frobnicate",), ("constr",), ("--format", "csv", "bound", "thm2", *SHAPE),
+    *((name, "--help") for name in COMMANDS),
+    ("construct", *SHAPE, "--out", CODE),  # no --s
+    ("construct", *SHAPE, "--s", "0", "--out", CODE, "--bogus"),
+    ("verify", "--in", CODE, "--d", "2", "--mode", "fast"),
+    ("construct", *SHAPE, "--s", "0", "--out", CODE, "extra"),
+    ("bound", "thm2", *SHAPE),
+    ("dist", "--q", "2", "--m", "3", "--nmin", "2", "--d", "2"),
+    ("table", "reproduce", "--format", "csv"),
+    ("construct", *SHAPE, "--s", "0", "--out", CODE),
+    ("verify", "--in", CODE, "--d", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_one_command_build_matches_the_full_parser(capsys, monkeypatch,
+                                                   tmp_path, argv):
+    code = str(tmp_path / "code.txt")
+    run(capsys, "construct", *SHAPE, "--s", "0", "--out", code)
+    argv = [code if a == CODE else a for a in argv]
+
+    def surface():
+        # exit code, stdout and stderr; the verify line's run time may differ
+        return [re.sub(r" in \d+\.\d+s$", "", str(x), flags=re.M)
+                for x in run(capsys, *argv)]
+
+    one = surface()
+    monkeypatch.setattr(cli, "_COMMANDS", ())  # every argv gets the full parser
+    assert one == surface()
+
+
+@pytest.mark.parametrize("argv, built", [
+    *(((name, "--help"), 2) for name in COMMANDS),
+    (("bound", "thm2", *SHAPE), 2),
+    (("--help",), 6), (("frobnicate",), 6), ((), 6),
+])
+def test_a_known_command_builds_one_subparser(capsys, monkeypatch, argv,
+                                              built):
+    count = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        count.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    run(capsys, *argv)
+    assert len(count) == built

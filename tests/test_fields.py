@@ -426,7 +426,8 @@ def assert_matches_scalar(stacks, q, width):
     """rref_rows agrees with packed_rref and packed_rank stack by stack."""
     f = field_of(q)
     stacks = np.array(stacks, dtype=np.uint64)
-    ranks, reduced = rref_rows(stacks, q, width)
+    reduced = stacks.copy()
+    ranks = rref_rows(reduced, q, width)
     assert ranks.shape == (len(stacks),) and ranks.dtype == np.int64
     assert reduced.shape == stacks.shape and reduced.dtype == np.uint64
     for b, rows in enumerate(stacks.tolist()):
@@ -542,6 +543,23 @@ def test_rref_rows_places_rows_by_their_leads(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rref_rows_reduces_a_strided_view_in_place(q):
+    # the even columns of a wider array, across a CHUNK seam: each block is
+    # written back into the view and the odd columns stay as they were
+    width, r = 3, 4
+    rng = np.random.default_rng(q + 10)
+    wide = rng.integers(0, q ** width, size=(CHUNK + 3, 2 * r), dtype=np.uint64)
+    before = wide.copy()
+    ranks = rref_rows(wide[:, ::2], q, width)
+    f = field_of(q)
+    for b, rows in enumerate(before[:, ::2].tolist()):
+        ref = list(packed_rref(rows, f, width))
+        assert int(ranks[b]) == len(ref)
+        assert wide[b, ::2].tolist() == ref + [0] * (r - len(ref))
+    assert (wide[:, 1::2] == before[:, 1::2]).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_rref_rows_across_chunk_seams(q):
     # narrow rows, so the ranks vary and dependent stacks are common
     width, r = 3, 4
@@ -620,8 +638,8 @@ def test_join_ranks_across_chunk_seams(q, stacks):
     # drawn row, so it adds at most 1 to its own head but more to another
     width, kU = 4, 2
     rng = np.random.default_rng(stacks + q)
-    _, heads = rref_rows(rng.integers(0, q ** width, size=(stacks, kU),
-                                      dtype=np.uint64), q, width)
+    heads = rng.integers(0, q ** width, size=(stacks, kU), dtype=np.uint64)
+    rref_rows(heads, q, width)
     drawn = rng.integers(0, q ** width, size=(stacks, 1), dtype=np.uint64)
     tails = np.concatenate([heads, drawn], axis=1)
     assert_join_matches_scalar(heads.tolist(), tails.tolist(), q, width)
@@ -690,7 +708,8 @@ def test_q3_kernels_across_chunk_seams_at_width_40():
     digits *= rng.random((stacks, r, width)) < 0.06
     rows = pack_rows(digits, 3)
     assert_matches_scalar(rows.tolist(), 3, width)
-    _, heads = rref_rows(rows[:, :2], 3, width)
+    heads = rows[:, :2].copy()
+    rref_rows(heads, 3, width)
     assert_join_matches_scalar(heads.tolist(), rows[:, 1:].tolist(), 3, width)
 
 
@@ -710,7 +729,8 @@ def test_kernels_take_only_their_own_row_form(monkeypatch, q):
     stacks = [[5, (q - 1) * q ** (width - 1), 7], [0, 2, q ** width - 1],
               [6, 3, 0]]
     assert_matches_scalar(stacks, q, width)
-    _, heads = rref_rows(np.array(stacks, dtype=np.uint64)[:, 1:], q, width)
+    heads = np.array(stacks, dtype=np.uint64)[:, 1:].copy()
+    rref_rows(heads, q, width)
     assert_join_matches_scalar(heads.tolist(), stacks, q, width)
 
 
