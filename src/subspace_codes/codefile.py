@@ -27,8 +27,9 @@ Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
 a stray digit, because every consumer downstream relies on members being
 honest k-dimensional subspaces in normal form.  It reads the form off the
-packed rows with ``fields.pivot_masks`` (leading digits 1, leading columns
-increasing and clear in the other rows) and reduces nothing.  Corruption
+digits, held as the row kernels hold rows, with the core of
+``fields.pivot_masks`` (leading digits 1, leading columns increasing and
+clear in the other rows) and reduces nothing.  Corruption
 that stays inside the format (a free entry changed to another field
 element) still loads, and then surfaces as a duplicate or a distance
 violation during verification rather than being repaired here.
@@ -44,7 +45,7 @@ import numpy as np
 from .bounds import CdcParams
 from .construction import CDC
 from .errors import CodeFileError, InvalidParameterError
-from .fields import CHUNK, SUPPORTED_Q, pack_rows, pivot_masks, unpack_rows
+from .fields import CHUNK, SUPPORTED_Q, _decode, _held, _masks, unpack_rows
 
 MAGIC = "subspace-code"
 VERSION = 1
@@ -119,9 +120,10 @@ def read_code(path) -> CDC:
     separators, rows not in canonical form) raise CodeFileError.
     Mathematical problems (duplicates, wrong distance) are the verifier's
     business and pass through silently here.  The body is decoded CHUNK
-    lines at a time: one byte check against ``_byte_check``'s rows, one
-    ``pack_rows`` to the block's rows, then ``pivot_masks``, which is 0
-    for a member whose rows are not canonical.
+    lines at a time: one byte check against ``_byte_check``'s rows, then
+    the digits go straight into the kernels' row form (``_held``; at
+    q = 2 their bits are the packed rows), ``_masks`` is 0 for a member
+    whose rows are not canonical, and ``_decode`` gives the packed rows.
     """
     with open(path, "rb") as fh:
         # the body size check needs a file size, which a pipe does not have
@@ -197,12 +199,10 @@ def read_code(path) -> CDC:
                 raise CodeFileError(
                     f"member {lo + first + 1} is not {k} rows of {ambient} "
                     f"digits of GF({q}) joined by '|'")
-            # each separator is now a zero top digit, so the whole block
-            # packs to the rows
-            rows = pack_rows(block, q)
-            bad = np.flatnonzero(pivot_masks(rows, q, ambient) == 0)
+            held = _held(block[:, :, :ambient].transpose(1, 0, 2), q, ambient)
+            bad = np.flatnonzero(_masks(held, q) == 0)
             if len(bad):
                 raise CodeFileError(
                     f"member {lo + bad[0] + 1} rows are not in canonical form")
-            codes[lo:lo + count] = rows
+            codes[lo:lo + count] = _decode(held, q, ambient).T
     return CDC(q, ambient, k, d, codes, params=construction)

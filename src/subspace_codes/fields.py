@@ -444,11 +444,13 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 # The batched kernels behind every row reduction on the production path:
 # rref_rows where canonical rows are needed and join_ranks where ranks are
 # enough, both driven by _eliminate, and pivot_masks, which checks stored
-# rows for canonical form without reducing them.  All three read leading
-# columns and ranks off _leads.  Only the form helpers _encode, _decode,
-# _leads, _ones, _monic and _clear know a row's form: packed bits at q = 2,
-# ones and twos bit planes at q = 3 and digit arrays otherwise.
-# packed_rref and packed_rank above are their reference.
+# rows for canonical form without reducing them, one block at a time with
+# _masks.  All three read leading columns and ranks off _leads.  Only the
+# form helpers _encode, _held, _decode, _leads, _ones, _monic and _clear
+# know a row's form: packed bits at q = 2, ones and twos bit planes at
+# q = 3 and digit arrays otherwise.  _held gives that form straight from
+# digits, for the code-file reader.  packed_rref and packed_rank above are
+# their reference.
 
 CHUNK = 1 << 11  # stacks, pairs or code-file lines per numpy pass
 
@@ -494,6 +496,22 @@ def _encode(rows, q: int, width: int):
         for plane, table in zip(planes.transpose(1, 0, 2), into):
             plane |= table.take(digits).astype(plane.dtype, copy=False) << shift
     return planes
+
+
+def _held(digits, q: int, width: int):
+    # (k, B, width) uint8 digits, in any strides, held as _encode gives
+    # their rows.  Packed q = 2 rows are the digits' bits, q = 3 planes the
+    # bits of digits == 1 and == 2: one flat packbits of the digits padded
+    # to the rows' unsigned type (packbits along an axis is far slower)
+    if q > 3:
+        return np.ascontiguousarray(digits)
+    dtype = np.min_scalar_type((1 << width) - 1)
+    padded = np.zeros(digits.shape[:-1] + (8 * dtype.itemsize,), dtype=np.uint8)
+    padded[..., :width] = digits
+    if q == 3:
+        padded = padded[:, None] == np.arange(1, 3, dtype=np.uint8)[:, None, None]
+    bits = np.packbits(padded, bitorder="little")
+    return bits.view(dtype).reshape(padded.shape[:-1])
 
 
 def _decode(held, q: int, width: int):
@@ -581,9 +599,9 @@ def rref_rows(rows, q: int, width: int):
     ``rows`` is a writable (B, r) uint64 array; ``rows[b]`` holds r rows of
     GF(q)^width packed as sum(entry_c * q**c).  Stack b is overwritten with
     ``packed_rref`` of its rows over ``field_of(q)``, the canonical rows in
-    pivot order, followed by zero rows.  Returns the ranks.
+    pivot order, followed by zero rows.  Returns the ranks, as uint8.
     """
-    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks = np.empty(len(rows), dtype=np.uint8)
     for lo in range(0, len(rows), CHUNK):
         block = rows[lo:lo + CHUNK]
         held = _eliminate(_encode(block.T.copy(), q, width), q, True)
@@ -618,6 +636,16 @@ def join_ranks(heads, rows, q: int, width: int):
     return ranks
 
 
+def _masks(held, q: int):
+    # pivot_masks of one block of stacks held as _encode gives them
+    s, low, pivots = _leads(held, q)
+    # ones & low is 0 for a zero row and for a leading digit other than 1
+    canonical = (((_ones(held, q) & low) != 0)
+                 & ((s & pivots) == low)).all(axis=0) \
+        & (low[1:] > low[:-1]).all(axis=0)
+    return np.where(canonical, pivots, 0)
+
+
 def pivot_masks(rows, q: int, width: int):
     """The identifying vector of each canonical stack of rows, as a mask.
 
@@ -630,11 +658,6 @@ def pivot_masks(rows, q: int, width: int):
     """
     masks = np.empty(len(rows), dtype=np.uint64)
     for lo in range(0, len(rows), CHUNK):
-        held = _encode(rows[lo:lo + CHUNK].T.copy(), q, width)
-        s, low, pivots = _leads(held, q)
-        # ones & low is 0 for a zero row and for a leading digit other than 1
-        canonical = (((_ones(held, q) & low) != 0)
-                     & ((s & pivots) == low)).all(axis=0) \
-            & (low[1:] > low[:-1]).all(axis=0)
-        masks[lo:lo + CHUNK] = np.where(canonical, pivots, 0)
+        masks[lo:lo + CHUNK] = _masks(
+            _encode(rows[lo:lo + CHUNK].T.copy(), q, width), q)
     return masks

@@ -7,10 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+from subspace_codes import codefile, fields
 from subspace_codes.codefile import CHUNK, read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
 from subspace_codes.errors import CodeFileError
-from subspace_codes.fields import SUPPORTED_Q, unpack_row
+from subspace_codes.fields import SUPPORTED_Q, rref_rows, unpack_row
 
 
 def roundtrip(tmp_path, code, name="code.txt"):
@@ -317,6 +318,62 @@ def test_roundtrip_at_chunk_seams(tmp_path, q, members):
     assert (back.q, back.ambient, back.k, back.d) == (q, 4 + 2 * s, 2, 2)
     assert back.codes.dtype == np.uint64 and back.codes.shape == (members, 2)
     assert np.array_equal(back.codes, code.codes)
+
+
+@pytest.mark.parametrize("q, refused", [(2, ("pack_rows", "_encode")),
+                                        (4, ("_encode",))])
+def test_reader_reads_digits_straight_into_the_row_form(tmp_path, monkeypatch,
+                                                        q, refused):
+    # q = 2 rows are the digits' bits, so no Horner pack, and no q goes
+    # through _encode's packed rows
+    code = tiled(q, CHUNK + 1)
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+
+    def refuse(*args):
+        raise AssertionError(f"the q = {q} reader called one of {refused}")
+
+    for name in refused:
+        monkeypatch.setattr(fields, name, refuse)
+        monkeypatch.setattr(codefile, name, refuse, raising=False)
+    assert np.array_equal(read_code(path).codes, code.codes)
+
+
+def random_code(q, ambient, members):
+    """``members`` random canonical members of two rows of GF(q)^ambient."""
+    rng = np.random.default_rng(ambient)
+    rows = rng.integers(0, min(q ** ambient, 1 << 64) - 1, endpoint=True,
+                        size=(2 * members, 2), dtype=np.uint64)
+    ranks = rref_rows(rows, q, ambient)
+    return CDC(q, ambient, 2, 2, rows[ranks == 2][:members])
+
+
+@pytest.mark.parametrize("q, ambient", [(2, a) for a in (8, 9, 16, 17, 32, 33, 64)]
+                         + [(3, 40)])
+def test_roundtrip_at_row_type_edges(tmp_path, q, ambient):
+    """Rows as wide as an unsigned type, or one digit wider, across a CHUNK
+    seam: the file reads back, rewrites byte for byte, and a damaged member
+    past the seam is named."""
+    code = random_code(q, ambient, CHUNK + 100)
+    assert len(code) == CHUNK + 100
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    back = read_code(path)
+    assert np.array_equal(back.codes, code.codes)
+    write_code(back, tmp_path / "again.txt")
+    data = path.read_bytes()
+    assert (tmp_path / "again.txt").read_bytes() == data
+    bad, line_len = CHUNK + 50, 2 * (ambient + 1)
+    at = data.index(b"--\n") + 3 + bad * line_len
+    line = data[at:at + line_len]
+    digit = line[:-2] + str(q).encode() + b"\n"  # outside GF(q), last column
+    # the rows swapped: their leads decrease
+    swapped = line[ambient + 1:-1] + b"|" + line[:ambient] + b"\n"
+    for damaged, message in ((digit, "is not 2 rows"),
+                             (swapped, "rows are not in canonical form")):
+        path.write_bytes(data[:at] + damaged + data[at + line_len:])
+        with pytest.raises(CodeFileError, match=rf"^member {bad + 1} {message}"):
+            read_code(path)
 
 
 def damage_members(tmp_path, name, *damage):

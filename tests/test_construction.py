@@ -273,6 +273,16 @@ def test_distinct_count_compares_rows_when_every_key_collides(monkeypatch):
         assert code.distinct_count() == distinct_by_set(code)
 
 
+def test_distinct_count_compares_rows_when_some_keys_collide(monkeypatch):
+    # members that share their first row share a key and the others keep
+    # keys of their own, so runs of distinct rows under one key sit among
+    # unique keys
+    monkeypatch.setattr(construction, "_member_keys",
+                        lambda codes: codes[:, 0].copy())
+    for code in duplicated_codes():
+        assert code.distinct_count() == distinct_by_set(code)
+
+
 def test_cdc_rejects_rows_past_uint64():
     with pytest.raises(InvalidParameterError, match=r"2\*\*64"):
         CDC(2, 65, 1, 2, [])

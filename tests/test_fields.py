@@ -428,7 +428,7 @@ def assert_matches_scalar(stacks, q, width):
     stacks = np.array(stacks, dtype=np.uint64)
     reduced = stacks.copy()
     ranks = rref_rows(reduced, q, width)
-    assert ranks.shape == (len(stacks),) and ranks.dtype == np.int64
+    assert ranks.shape == (len(stacks),) and ranks.dtype == np.uint8
     assert reduced.shape == stacks.shape and reduced.dtype == np.uint64
     for b, rows in enumerate(stacks.tolist()):
         ref = packed_rref(rows, f, width)
@@ -855,6 +855,44 @@ def test_row_codec_at_digit_group_seams(q):
             if q ** width <= bad < 1 << 64:
                 with pytest.raises(IndexError):
                     unpack_rows(np.array([[1, bad]], dtype=np.uint64), q, width)
+
+
+# widths at and just past the bits of an unsigned type, where the digits
+# that _held packs are padded to the next type
+PAD_EDGES = (8, 9, 16, 17, 32, 33, 64)
+
+
+@st.composite
+def digit_blocks(draw):
+    """A (B, k, width) uint8 block of GF(q) digits, laid out as the lines
+    of a code file are."""
+    q = draw(st.sampled_from(SUPPORTED_Q))
+    edges = [w for w in PAD_EDGES if w <= WIDTH_LIMIT[q]]
+    width = draw(st.one_of(st.sampled_from(edges),
+                           st.integers(1, WIDTH_LIMIT[q])))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), width)
+    size = shape[0] * shape[1] * width
+    digits = draw(st.lists(st.one_of(st.just(q - 1), st.integers(0, q - 1)),
+                           min_size=size, max_size=size))
+    return q, width, np.array(digits, dtype=np.uint8).reshape(shape)
+
+
+@given(digit_blocks())
+@settings(max_examples=300, deadline=None)
+def test_held_reads_digits_as_the_kernels_hold_rows(case):
+    q, width, lines = case
+    # row t of every stack, the strided view the code-file reader passes
+    digits = lines.transpose(1, 0, 2)
+    held = fields._held(digits, q, width)
+    want = fields._encode(pack_rows(digits, q), q, width)
+    assert np.array_equal(held, want)
+    # q = 2 rows come in the narrowest unsigned type, like q = 3 planes
+    assert held.dtype == (want.dtype if q > 3
+                          else np.min_scalar_type((1 << width) - 1))
+    rows = fields._decode(held, q, width)
+    assert rows.shape == digits.shape[:-1]
+    for (t, b), value in np.ndenumerate(rows):
+        assert int(value) == pack_row(digits[t, b].tolist(), q)
 
 
 @st.composite
