@@ -21,7 +21,6 @@ import json
 import sys
 
 from .bounds import (
-    block_cardinalities,
     johnson_anticode_upper,
     johnson_iterated_upper,
     parallel_lower_bound,
@@ -127,8 +126,7 @@ def cmd_table(args) -> int:
 def cmd_construct(args) -> int:
     code = assemble_parallel(args.q, args.n, args.k, args.d, args.s)
     write_code(code, args.out)
-    p = code.params
-    breakdown = "+".join(map(str, block_cardinalities(p.q, p.n, p.k, p.d, p.s)))
+    breakdown = "+".join(map(str, code.round_sizes))
     print(f"wrote {len(code)} members ({breakdown}) of a (q={code.q}, "
           f"N={code.ambient}, d={code.d}, k={code.k}) code to {args.out}")
     return 0

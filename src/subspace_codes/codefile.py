@@ -15,9 +15,9 @@ File layout, all ASCII:
 
 The first line is the magic plus format version.  Header lines are
 ``key=value``; ``construction`` is optional and records how the code was
-assembled, so the predicted size can be recovered and the CDC can label
-its rounds.  Lines starting with ``#`` before the ``--`` separator are
-comments.  After the separator come exactly ``members`` lines of
+assembled, so the predicted size and the round sizes can be recovered.
+Lines starting with ``#`` before the ``--`` separator are comments.
+After the separator come exactly ``members`` lines of
 k * (ambient + 1) bytes: k groups of ``ambient`` base-q digit characters
 joined by ``|`` and ended by ``\n``, row 0 first, column 0 as the leftmost
 digit of a group.  ``_byte_check`` writes that line layout down once, for
@@ -69,7 +69,7 @@ def _byte_check(q: int, ambient: int, k: int):
 
 
 def write_code(code: CDC, path) -> None:
-    """Serialize a code; the inverse of read_code up to round labels."""
+    """Serialize a code; the exact inverse of read_code."""
     q, ambient, k = code.q, code.ambient, code.k
     header = [f"{MAGIC} v{VERSION}", f"q={q}", f"ambient={ambient}",
               f"k={k}", f"d={code.d}", f"members={len(code)}"]

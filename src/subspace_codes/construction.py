@@ -19,7 +19,7 @@ q**N <= 2**64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,9 +108,8 @@ class CDC:
     ``codes`` is a C-contiguous np.uint64 array in construction order; row r
     of member i is ``codes[i, r]``, a canonical generator row packed as
     sum(entry_c * q**c).  Any sequence of row tuples is accepted and
-    normalized here.  ``params`` must agree with (q, ambient, k, d).
-    ``rounds`` is None or each member's round index, np.uint16 of shape (M,);
-    left out, it is read off ``params``' round sizes when they add up to M.
+    normalized here.  ``params`` (keyword only) must agree with (q, ambient,
+    k, d); ``round_sizes`` reads the rounds, runs of members, off it.
 
     The rows are not checked here, but they must be canonical: the distance
     scans clear each member's pivot columns from the other member's rows,
@@ -124,8 +123,7 @@ class CDC:
     k: int
     d: int
     codes: np.ndarray
-    rounds: np.ndarray | None = None
-    params: CdcParams | None = None
+    params: CdcParams | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         # q >= 2, so a row past 64 columns never fits; testing that first
@@ -147,19 +145,25 @@ class CDC:
             raise InvalidParameterError(
                 f"params (q, ambient, k, d) = {(p.q, p.ambient, p.k, p.d)} "
                 f"disagree with the code's {own}")
-        if self.rounds is None and p is not None and p.n is not None:
-            sizes = block_cardinalities(p.q, p.n, p.k, p.d, p.s)
-            if sum(sizes) == len(codes):  # uint16 throughout, no int64 temporary
-                self.rounds = np.arange(len(sizes), dtype=np.uint16).repeat(sizes)
-        if self.rounds is not None:
-            self.rounds = np.asarray(self.rounds, dtype=np.uint16)
-            if self.rounds.shape != (len(codes),):
-                raise InvalidParameterError(
-                    f"round labels must have shape ({len(codes)},), one per "
-                    f"member, got {self.rounds.shape}")
 
     def __len__(self):
         return len(self.codes)
+
+    @property
+    def round_sizes(self) -> list | None:
+        """Member count of each round, in member order, read off ``params``;
+        None unless it names a parallel construction of len(self) members."""
+        p = self.params
+        if p is None or p.n is None:
+            return None
+        sizes = block_cardinalities(p.q, p.n, p.k, p.d, p.s)
+        return sizes if sum(sizes) == len(self.codes) else None
+
+    @property
+    def rounds(self) -> np.ndarray | None:
+        # each member's round index as uint16; perfbench/child.py is its only reader
+        sizes = self.round_sizes
+        return sizes and np.arange(len(sizes), dtype=np.uint16).repeat(sizes)
 
     def distinct_count(self) -> int:
         """Number of distinct members, by one sort of a hash key per member.

@@ -52,11 +52,11 @@ def _lcg_jump():
     return a, c
 
 
-def _pairs(state: int, m: int, want: int, cap: int | None = None, rounds=None):
-    # yields the pairs i < j drawn after state, one block per CHUNK
-    # attempts; an attempt (two words mod m) counts when i != j and, given
-    # rounds, the rounds differ.  Stops after want pairs or cap attempts and
-    # returns the state after the last attempt used and the pairs drawn.
+def _pairs(state: int, m: int, want: int, cap: int | None = None, starts=None):
+    # yields the pairs i < j drawn after state, one block per CHUNK attempts;
+    # an attempt (two words mod m) counts when i != j and, given the first
+    # members of rounds 1, 2, ..., a round start separates i from j.  Stops
+    # after want pairs or cap attempts; returns (last state used, pairs drawn).
     a, c = _lcg_jump()
     got = tried = 0
     while got < want and (cap is None or tried < cap):
@@ -64,8 +64,8 @@ def _pairs(state: int, m: int, want: int, cap: int | None = None, rounds=None):
         words = a[:2 * n] * np.uint64(state) + c[:2 * n]
         i, j = (words % np.uint64(m)).astype(np.int64).reshape(n, 2).T
         ok = i != j
-        if rounds is not None:
-            ok &= rounds[i] != rounds[j]
+        if starts is not None:
+            ok &= np.logical_or.reduce([(i < b) != (j < b) for b in starts])
         hit = np.flatnonzero(ok)[:want - got]
         used = int(hit[-1]) + 1 if got + len(hit) == want else n
         state = int(words[2 * used - 1])
@@ -266,14 +266,13 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
     """Minimum distance over a reproducible random sample of pairs.
 
     Draws ``samples`` uniform pairs (two stream words modulo the member
-    count, redrawn on collision).  When the code carries round labels and
-    more than one round is populated, a stratified top-up of
-    ceil(samples / 10) extra pairs with members from different rounds is
-    appended, since cross-round pairs are the thinner failure surface; it
-    resumes the stream where the main draws stopped and gives up after 50
-    attempts per requested pair.  Both phases draw CHUNK attempts at a
-    time with array arithmetic.  If ``samples`` covers every pair, the
-    exhaustive scan answers instead.
+    count, redrawn on collision).  When ``code.round_sizes`` has more than
+    one populated round, a stratified top-up of ceil(samples / 10) extra
+    pairs with members from different rounds is appended, since cross-round
+    pairs are the thinner failure surface; it resumes the stream where the
+    main draws stopped and gives up after 50 attempts per requested pair.
+    Both phases draw CHUNK attempts at a time with array arithmetic.  If
+    ``samples`` covers every pair, the exhaustive scan answers instead.
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be positive, got {samples}")
@@ -285,17 +284,16 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
         return min_distance_exhaustive(
             code, pair_budget=max(total_pairs, PAIR_BUDGET_DEFAULT))
 
-    extra = found = 0
-    rounds = code.rounds
-    if rounds is not None and len(rounds) and rounds.min() != rounds.max():
-        extra = -(-samples // 10)
+    sizes = code.round_sizes or []
+    extra = -(-samples // 10) if np.count_nonzero(sizes) > 1 else 0
+    found = 0
 
     def blocks():
         # main draws, then the top-up off the same stream; each block is
         # scanned before the next one is drawn
         nonlocal found
         state, _ = yield from _pairs(seed & LCG_MASK, m, samples)
-        _, found = yield from _pairs(state, m, extra, 50 * extra, rounds)
+        _, found = yield from _pairs(state, m, extra, 50 * extra, np.cumsum(sizes[:-1]))
 
     drawing = blocks()
     best, witness, ranked = _scan(code, drawing)

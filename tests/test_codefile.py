@@ -28,7 +28,7 @@ def test_roundtrip_binary(tmp_path):
     assert len(back) == 481
     assert back.params == code.params
     assert back.codes.tolist() == code.codes.tolist()
-    assert list(map(int, back.rounds)) == list(map(int, code.rounds))
+    assert back.round_sizes == code.round_sizes
 
 
 def test_roundtrip_nonbinary(tmp_path):
@@ -265,7 +265,7 @@ def test_rounds_reconstructed_only_when_sizes_agree(tmp_path):
     path = tmp_path / "c.txt"
     write_code(code, path)
     # strip one body line and fix the member count: construction size no
-    # longer matches, so round labels must be absent rather than wrong
+    # longer matches, so round sizes must be absent rather than wrong
     lines = path.read_text().splitlines()
     lines.pop()
     for n, l in enumerate(lines):
@@ -274,7 +274,7 @@ def test_rounds_reconstructed_only_when_sizes_agree(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     back = read_code(path)
     assert len(back) == 480
-    assert back.rounds is None
+    assert back.round_sizes is None
 
 
 def test_reader_rejects_rows_past_uint64_before_body(tmp_path):

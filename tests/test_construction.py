@@ -1,6 +1,7 @@
 """Lifting, canonical forms, and assembly of the parallel construction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,18 +114,14 @@ def test_assembled_sizes_match_bound(q, n, k, d, s, size):
     assert parallel_lower_bound(q, n, k, d, s).value == size
     assert len(code) == size
     assert code.distinct_count() == size
-    blocks = block_cardinalities(q, n, k, d, s)
-    counts = [0] * len(blocks)
-    for b in code.rounds:
-        counts[int(b)] += 1
-    assert counts == blocks
+    assert code.round_sizes == block_cardinalities(q, n, k, d, s)
 
 
 def test_assembly_is_deterministic():
     a = assemble_parallel(2, 2, 2, 2, 1)
     b = assemble_parallel(2, 2, 2, 2, 1)
     assert a.codes.tolist() == b.codes.tolist()
-    assert list(a.rounds) == list(b.rounds)
+    assert a.round_sizes == b.round_sizes
 
 
 def test_members_are_valid_subspaces():
@@ -167,7 +164,7 @@ def test_pivot_columns_separate_rounds():
     for i in range(len(code)):
         lists = [unpack_row(r, q, code.ambient) for r in code.codes[i].tolist()]
         pivots = [row.index(1) for row in lists]
-        if int(code.rounds[i]) == 0:
+        if i < code.round_sizes[0]:
             assert pivots == [0, 1]
             assert [row[:k] for row in lists] == [[1, 0], [0, 1]]
         else:
@@ -178,7 +175,8 @@ def test_cross_round_distances_meet_claim():
     code = assemble_parallel(2, 2, 2, 2, 1)
     subs = [Subspace(code.q, code.ambient, tuple(rows))
             for rows in code.codes.tolist()]
-    rounds = [int(b) for b in code.rounds]
+    sizes = code.round_sizes
+    rounds = np.repeat(np.arange(len(sizes)), sizes).tolist()
     pairs = 0
     for i in range(len(code)):
         for j in range(i + 1, len(code)):
@@ -227,7 +225,6 @@ def test_code_layout_is_uint64_rows(q):
     assert code.codes.shape == (len(code), 2)
     assert code.codes.dtype == np.uint64
     assert code.codes.flags.c_contiguous
-    assert code.rounds.dtype == np.uint16 and code.rounds.ndim == 1
 
 
 def test_distinct_count_sees_injected_duplicate():
@@ -304,34 +301,56 @@ def test_cdc_reads_round_labels_off_params(p):
     built = assemble_parallel(*p)
     code = CDC(built.q, built.ambient, built.k, built.d, built.codes,
                params=built.params)
-    assert code.rounds.dtype == np.uint16
-    assert np.array_equal(code.rounds, built.rounds)
     sizes = block_cardinalities(*p)
+    assert code.round_sizes == built.round_sizes == sizes
+    # the per-member labels that perfbench reads, derived from the sizes
+    assert code.rounds.dtype == np.uint16
     assert code.rounds.tolist() == np.repeat(np.arange(len(sizes)), sizes).tolist()
-    # round sizes that miss the member count give no labels, not wrong ones
+    # round sizes that miss the member count give no rounds, not wrong ones
     short = CDC(built.q, built.ambient, built.k, built.d, built.codes[:-1],
                 params=built.params)
-    assert short.rounds is None
+    assert short.round_sizes is None and short.rounds is None
 
 
-@pytest.mark.parametrize("make, match", [
-    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes, c.rounds[-300:]),
-     r"shape \(481,\).* got \(300,\)"),
-    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes[:100], c.rounds),
-     r"shape \(100,\).* got \(481,\)"),
-    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes, c.rounds[None]),
-     r"shape \(481,\).* got \(1, 481\)"),
-    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes, c.rounds,
-                   CdcParams(2, 8, 2, 2, n=4, s=1)),
-     r"\(2, 8, 2, 2\) disagree with the code's \(2, 6, 2, 2\)"),
+def test_cdc_holds_no_per_member_round_data():
+    built = assemble_parallel(2, 2, 2, 2, 3)
+    tracemalloc.start()
+    try:
+        code = CDC(built.q, built.ambient, built.k, built.d, built.codes,
+                   params=built.params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.codes is built.codes
+    # a uint16 label per member would take 2 * 141,201 bytes, 283 KB
+    assert peak < 16_000
+
+
+@pytest.mark.parametrize("make, error, match", [
+    # per-member round labels of any shape, passed as a sixth positional
+    # argument, bind to no field: params is keyword only
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes,
+                   np.zeros(300, dtype=np.uint16)),
+     TypeError, r"takes 6 positional arguments but 7 were given"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes[:100],
+                   np.zeros(len(c), dtype=np.uint16)),
+     TypeError, r"takes 6 positional arguments but 7 were given"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes,
+                   np.zeros((1, len(c)), dtype=np.uint16)),
+     TypeError, r"takes 6 positional arguments but 7 were given"),
     (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes,
                    params=CdcParams(2, 8, 2, 2, n=4, s=1)),
+     InvalidParameterError,
+     r"\(2, 8, 2, 2\) disagree with the code's \(2, 6, 2, 2\)"),
+    (lambda c: CDC(c.q, c.ambient, c.k, c.d, c.codes[:100],
+                   params=CdcParams(2, 8, 2, 2, n=4, s=1)),
+     InvalidParameterError,
      r"\(2, 8, 2, 2\) disagree with the code's \(2, 6, 2, 2\)"),
 ], ids=["labels-short", "labels-long", "labels-2d", "params-ambient",
         "params-ambient-unlabelled"])
-def test_cdc_rejects_labels_and_params_that_disagree(make, match):
+def test_cdc_rejects_labels_and_params_that_disagree(make, error, match):
     code = assemble_parallel(2, 2, 2, 2, 1)
-    with pytest.raises(InvalidParameterError, match=match):
+    with pytest.raises(error, match=match):
         make(code)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subspace_codes.bounds import block_cardinalities
 from subspace_codes.construction import (
     CDC,
     Subspace,
@@ -40,6 +41,7 @@ from subspace_codes.verify import (
     LCG_MASK,
     LCG_MULTIPLIER,
     _lcg_jump,
+    _pairs,
     lcg_stream,
     min_distance_exhaustive,
     min_distance_sampled,
@@ -365,8 +367,9 @@ def scalar_sampled(code, samples, seed):
         if i != j:
             check(i, j)
             drawn += 1
-    rounds = code.rounds
-    if rounds is not None and len(set(rounds.tolist())) > 1:
+    sizes = code.round_sizes or []
+    rounds = np.repeat(np.arange(len(sizes)), sizes)
+    if np.count_nonzero(sizes) > 1:
         extra = -(-samples // 10)
         found = attempts = 0
         while found < extra and attempts < 50 * extra:
@@ -379,10 +382,11 @@ def scalar_sampled(code, samples, seed):
 
 
 def with_duplicate(code, src):
-    """The code plus a copy of member src appended as the last member."""
-    codes = np.concatenate([code.codes, code.codes[src:src + 1]])
-    rounds = np.concatenate([code.rounds, code.rounds[src:src + 1]])
-    return CDC(code.q, code.ambient, code.k, code.d, codes, rounds)
+    """The code with its last member replaced by a copy of member src; the
+    member count, and so the round sizes, stay those of ``params``."""
+    codes = code.codes.copy()
+    codes[-1] = codes[src]
+    return CDC(code.q, code.ambient, code.k, code.d, codes, params=code.params)
 
 
 def as_tuple(report):
@@ -405,37 +409,95 @@ def test_sampled_matches_scalar_scan(params, seed):
     assert as_tuple(got) == scalar_sampled(code, 400, seed)
 
 
+# (distance, witness, pairs_checked, pairs_ranked, topup_requested,
+# topup_found) of the benchmark's sampled workloads at their sample counts.
+# The kernel and scalar_sampled both take the rounds from round_sizes, so a
+# fault they share shows only here; the values were recorded from stored
+# per-member round labels.
+SAMPLED_REPORTS = {
+    ((2, 2, 2, 2, 3), 20000, 0): (2, (127927, 132896), 22000, 22000, 2000, 2000),
+    ((2, 2, 2, 2, 3), 20000, 1): (2, (67174, 95952), 22000, 22000, 2000, 2000),
+    ((2, 2, 2, 2, 3), 20000, 42): (2, (8409, 137826), 22000, 22000, 2000, 2000),
+    ((3, 3, 3, 2, 0), 10000, 0): (2, (5613, 7487), 11000, 11000, 1000, 1000),
+    ((3, 3, 3, 2, 0), 10000, 1): (2, (17913, 18722), 11000, 11000, 1000, 1000),
+    ((3, 3, 3, 2, 0), 10000, 42): (2, (18415, 25799), 11000, 11000, 1000, 1000),
+}
+
+
+@pytest.mark.parametrize("params, samples, seed", SAMPLED_REPORTS)
+def test_sampled_reports_are_pinned(params, samples, seed):
+    r = min_distance_sampled(assemble_parallel(*params), samples, seed=seed)
+    assert (r.distance, r.witness, r.pairs_checked, r.pairs_ranked,
+            r.topup_requested, r.topup_found) == SAMPLED_REPORTS[params, samples, seed]
+
+
 def test_duplicate_member_is_found_first():
     code = with_duplicate(assemble_parallel(2, 2, 2, 2, 1), 3)
     report = min_distance_exhaustive(code)
-    # (3, 481) is the only zero-distance pair and the scan stops on it
+    # (3, 480) is the only zero-distance pair and the scan stops on it
     assert as_tuple(report) == scalar_exhaustive(code)
-    assert report.distance == 0 and report.witness == (3, 481)
+    assert report.distance == 0 and report.witness == (3, 480)
     for seed in range(3):
         got = min_distance_sampled(code, 3000, seed=seed)
         assert as_tuple(got) == scalar_sampled(code, 3000, seed)
 
 
+def drain(gen):
+    """The (i, j) pairs a _pairs generator yields, and what it returns."""
+    pairs = []
+    while True:
+        try:
+            i, j = next(gen)
+        except StopIteration as stop:
+            return pairs, stop.value
+        pairs += zip(i.tolist(), j.tolist())
+
+
 def test_topup_shortfall_is_reported():
-    code = assemble_parallel(2, 2, 2, 2, 1)
-    # one member in round 1: few draws can land on a cross-round pair, and
-    # the cap of 50 * 50 attempts ends inside the second block of attempts
-    lone = CDC(code.q, code.ambient, code.k, code.d, code.codes,
-               [0] * (len(code) - 1) + [1])
-    report = min_distance_sampled(lone, 500, seed=42)
-    assert report.topup_requested == 50
+    # 480 members in round 0 and one in round 1: few draws land on a
+    # cross-round pair, and the cap of 50 * 50 attempts ends inside the
+    # second block of attempts
+    _, (state, _) = drain(_pairs(42, 481, 500))
+    pairs, (_, found) = drain(_pairs(state, 481, 50, 50 * 50, [480]))
     assert 50 * 50 % CHUNK != 0
+    assert found == len(pairs) == 14
+    stream = lcg_stream(state)
+    draws = [(next(stream) % 481, next(stream) % 481) for _ in range(2500)]
+    assert pairs == [(min(i, j), max(i, j)) for i, j in draws
+                     if i != j and 480 in (i, j)][:50]
+    # (2,6,4,4,0) has rounds of 262,144 and 2,205 members: 1.7 % of the
+    # draws are cross-round, too few to fill 50 pairs in 2500 attempts
+    thin = assemble_parallel(2, 6, 4, 4, 0)
+    report = min_distance_sampled(thin, 500, seed=42)
+    assert report.topup_requested == 50
     assert 0 < report.topup_found < 50
     assert report.pairs_checked == 500 + report.topup_found
-    assert as_tuple(report) == scalar_sampled(lone, 500, 42)
-    rec = reconcile(lone, 481, 2, mode="sampled", samples=500, seed=42)
+    assert as_tuple(report) == scalar_sampled(thin, 500, 42)
+    rec = reconcile(thin, len(thin), 4, mode="sampled", samples=500, seed=42)
     assert (f"stratified top-up found {report.topup_found} of 50 "
             f"cross-round pairs") in rec.notes
+    code = assemble_parallel(2, 2, 2, 2, 1)
     # a filled top-up adds no note
     full = min_distance_sampled(code, 500, seed=42)
     assert full.topup_found == full.topup_requested == 50
     assert reconcile(code, 481, 2, mode="sampled", samples=500,
                      seed=42).notes == []
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2, 2, 1), (2, 2, 2, 2, 3)])
+def test_topup_draws_the_cross_round_pairs_of_the_stream(params):
+    # the round of each member by its own label, against the round starts
+    sizes = block_cardinalities(*params)
+    m = sum(sizes)
+    rounds = np.repeat(np.arange(len(sizes)), sizes)
+    stream = lcg_stream(5)
+    want = []
+    while len(want) < CHUNK + 1:
+        i, j = next(stream) % m, next(stream) % m
+        if rounds[i] != rounds[j]:
+            want.append((min(i, j), max(i, j)))
+    pairs, (_, found) = drain(_pairs(5, m, CHUNK + 1, None, np.cumsum(sizes[:-1])))
+    assert pairs == want and found == CHUNK + 1
 
 
 def test_sampled_blocks_span_the_topup():
@@ -452,7 +514,7 @@ def test_sampled_draws_go_on_after_distance_zero():
     # duplicate pair, and the later draws still count
     code = assemble_parallel(2, 2, 2, 2, 1)
     repeated = CDC(code.q, code.ambient, code.k, code.d,
-                   code.codes[np.arange(len(code)) % 5], code.rounds)
+                   code.codes[np.arange(len(code)) % 5], params=code.params)
     samples = 3 * CHUNK
     report = min_distance_sampled(repeated, samples, seed=1)
     assert report.distance == 0
@@ -500,7 +562,7 @@ def test_exhaustive_witness_in_a_later_block_matches_scalar_scan():
     # member 60, and the pair (60, 99) has index 4208, in the third block
     base = assemble_parallel(2, 2, 2, 2, 1)
     code = with_duplicate(CDC(base.q, base.ambient, base.k, base.d,
-                              base.codes[:99], base.rounds[:99]), 60)
+                              base.codes[:100]), 60)
     report = min_distance_exhaustive(code)
     assert report.pairs_checked % CHUNK != 0
     assert report.witness == (60, 99)
