@@ -218,45 +218,34 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     full_nk = gabidulin_enumerate(q, n, k, delta, budget=allowed)
     sq_nk = checked_sq_filter(full_nk, k - delta)
 
-    written = 0
-    counts = []
+    # rounds b = 0..s, then the last round: the slot sources, as (words,
+    # digit offset), and the digit offset of the identity
+    rounds = []
+    for b in range(s + 1):
+        sources = [(sq_kk.codewords, p * k) for p in range(b)]
+        sources += [(full_kk.codewords, p * k) for p in range(b + 1, s + 1)]
+        rounds.append((sources + [(full_nk.codewords, (s + 1) * k)], b * k))
+    rounds.append(([(sq_kk.codewords, p * k) for p in range(s)]
+                   + [(sq_nk.codewords, s * k)], s * k + n))
 
-    def emit_round(slot_sources, pivot_offset):
-        # identity at pivot_offset plus one word per slot: slots occupy
-        # disjoint digit ranges, so member rows are sums of packed parts;
-        # with the identity left of every slot the sum is already canonical.
-        # The last sum is written straight into the round's slice of codes
-        nonlocal written
+    # identity at pivot_offset plus one word per slot: slots occupy disjoint
+    # digit ranges, so member rows are sums of packed parts; with the
+    # identity left of every slot the sum is already canonical.  The last
+    # sum is written straight into the round's slice of codes
+    written = 0
+    for (sources, pivot_offset), size in zip(rounds, per_round, strict=True):
         acc = np.asarray([[q ** (pivot_offset + i) for i in range(k)]],
                          dtype=np.uint64)
-        parts = [words * np.uint64(q ** offset) for words, offset in slot_sources]
+        parts = [words * np.uint64(q ** offset) for words, offset in sources]
         for part in parts[:-1]:
             acc = (acc[:, None, :] + part[None, :, :]).reshape(-1, k)
-        size = len(acc) * len(parts[-1])
-        if written + size > total:
+        if len(acc) * len(parts[-1]) != size:
             raise InternalConsistencyError(
-                f"round of {size} members overruns the predicted {total}")
+                f"round of {len(acc) * len(parts[-1])} members, predicted {size}")
         out = codes[written:written + size]
         np.add(acc[:, None, :], parts[-1][None, :, :],
                out=out.reshape(len(acc), len(parts[-1]), k))
-        if pivot_offset:
-            if (rref_rows(out, q, ambient) != k).any():
-                raise InternalConsistencyError("round member lost rank")
+        if pivot_offset and (rref_rows(out, q, ambient) != k).any():
+            raise InternalConsistencyError("round member lost rank")
         written += size
-        return size
-
-    wide_offset = (s + 1) * k
-    for b in range(s + 1):
-        slot_sources = [(sq_kk.codewords, p * k) for p in range(b)]
-        slot_sources += [(full_kk.codewords, p * k) for p in range(b + 1, s + 1)]
-        slot_sources += [(full_nk.codewords, wide_offset)]
-        counts.append(emit_round(slot_sources, b * k))
-
-    last_sources = [(sq_kk.codewords, p * k) for p in range(s)]
-    last_sources += [(sq_nk.codewords, s * k)]
-    counts.append(emit_round(last_sources, s * k + n))
-
-    if counts != per_round or written != total:
-        raise InternalConsistencyError(
-            f"round sizes {counts} disagree with predicted {per_round}")
     return CDC(q, ambient, k, d, codes, params=params)

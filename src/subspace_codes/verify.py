@@ -168,9 +168,9 @@ def _runs(order, starts, sizes, class_pairs):
 
 
 def _pair_blocks(order, runs):
-    # (i, j) blocks of at most CHUNK pairs off each array of runs, so that
-    # short runs share a block; a pair comes as (j, i) when the member of
-    # class a is the later one
+    # (i, j) blocks of at most CHUNK pairs off each array of runs, from
+    # _runs or the witness pass, so that short runs share a block; a pair
+    # comes as (j, i) when the member of class a is the later one
     for i, first, length in runs:
         ends = np.cumsum(length)
         base = first - ends + length  # order position of a run's pair 0
@@ -182,22 +182,6 @@ def _pair_blocks(order, runs):
             count[-1] -= ends[r1] - hi
             yield (np.repeat(i[r0:r1 + 1], count),
                    order[np.repeat(base[r0:r1 + 1], count) + np.arange(lo, hi)])
-
-
-def _ordered_pairs(masks, end: int, within: int):
-    # the pairs i < j with pair index below end, in (i, j) order, whose
-    # pivot masks are at most within bits apart; pair t is (i, j) with
-    # first[i] <= t < first[i + 1]
-    m = len(masks)
-    first = np.arange(m - 1, dtype=np.int64)
-    first = first * (2 * m - first - 1) // 2
-    for lo in range(0, end, CHUNK):
-        t = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)
-        i = first.searchsorted(t, "right") - 1
-        j = t - first[i] + i + 1
-        near = np.flatnonzero(np.bitwise_count(masks[i] ^ masks[j]) <= within)
-        if len(near):
-            yield i[near], j[near]
 
 
 def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> DistanceReport:
@@ -251,11 +235,22 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
         if dist is not None and (best is None or (dist, pair) < (best, witness)):
             best, witness = dist, pair
 
-    # the witness pass: pairs before the candidate, index end, in (i, j)
-    # order; a pair more than best bits apart cannot be at best
+    # the witness pass: the pairs before the candidate in (i, j) order, as
+    # runs of member r against the members after it, the candidate's own
+    # run stopping short of it; a pair more than best bits apart cannot be
+    # at best
+    def near(blocks):
+        for a, b in blocks:
+            keep = np.bitwise_count(masks[a] ^ masks[b]) <= best
+            if keep.any():
+                yield a[keep], b[keep]
+
     i, j = witness
-    end = i * (2 * m - i - 1) // 2 + j - i - 1
-    dist, pair, n = _scan(code, _ordered_pairs(masks, end, best), floor=best)
+    r = np.arange(i + 1)
+    length = m - 1 - r
+    length[-1] = j - i - 1
+    blocks = _pair_blocks(np.arange(m), [(r, r + 1, length)])
+    dist, pair, n = _scan(code, near(blocks), floor=best)
     if dist == best:
         witness = pair
     return DistanceReport(best, witness, pairs, "exhaustive",

@@ -1,5 +1,6 @@
 """Lifting, canonical forms, and assembly of the parallel construction."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -17,6 +18,7 @@ from subspace_codes.construction import (
 )
 from subspace_codes.errors import (
     BudgetExceededError,
+    InternalConsistencyError,
     InvalidParameterError,
     RankDeficiencyError,
 )
@@ -199,6 +201,21 @@ def test_assembly_budget_guard(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "481")
     code = assemble_parallel(2, 2, 2, 2, 1)
     assert len(code) == 481
+
+
+def test_round_of_the_wrong_size_is_refused_before_it_is_written(monkeypatch):
+    # one kept word short: round 1 of (2,2,2,2,1) has 8 * 16 members, not
+    # the 9 * 16 that block_cardinalities predicts
+    real = construction.checked_sq_filter
+
+    def short(code, max_rank):
+        kept = real(code, max_rank)
+        return dataclasses.replace(kept, codewords=kept.codewords[:-1])
+
+    monkeypatch.setattr(construction, "checked_sq_filter", short)
+    with pytest.raises(InternalConsistencyError,
+                       match="round of 128 members, predicted 144"):
+        assemble_parallel(2, 2, 2, 2, 1)
 
 
 def test_assembly_parameter_validation():

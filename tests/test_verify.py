@@ -41,6 +41,7 @@ from subspace_codes.verify import (
     LCG_MASK,
     LCG_MULTIPLIER,
     _lcg_jump,
+    _pair_blocks,
     _pairs,
     lcg_stream,
     min_distance_exhaustive,
@@ -381,11 +382,12 @@ def scalar_sampled(code, samples, seed):
     return best, witness, checked
 
 
-def with_duplicate(code, src):
-    """The code with its last member replaced by a copy of member src; the
-    member count, and so the round sizes, stay those of ``params``."""
+def with_duplicate(code, src, dst=-1):
+    """The code with member dst, by default the last, replaced by a copy of
+    member src; the member count, and so the round sizes, stay those of
+    ``params``."""
     codes = code.codes.copy()
-    codes[-1] = codes[src]
+    codes[dst] = codes[src]
     return CDC(code.q, code.ambient, code.k, code.d, codes, params=code.params)
 
 
@@ -429,6 +431,35 @@ def test_sampled_reports_are_pinned(params, samples, seed):
     r = min_distance_sampled(assemble_parallel(*params), samples, seed=seed)
     assert (r.distance, r.witness, r.pairs_checked, r.pairs_ranked,
             r.topup_requested, r.topup_found) == SAMPLED_REPORTS[params, samples, seed]
+
+
+# (params, src, dst) -> (distance, witness, pairs_checked, pairs_ranked)
+# of the exhaustive scan with member src copied onto member dst, recorded
+# before the witness pass read its pairs off _pair_blocks.  The witness
+# pass ranks most of these pairs, and the scalar scan does not count them
+EXHAUSTIVE_REPORTS = {
+    ((2, 3, 3, 2, 0), 285, 854): (0, (285, 854), 365085, 212172),
+    ((2, 2, 2, 2, 1), 160, 480): (0, (160, 480), 115440, 57007),
+    ((3, 2, 2, 2, 0), 37, 112): (0, (37, 112), 6328, 5862),
+    ((4, 2, 2, 2, 0), 110, 330): (0, (110, 330), 54615, 44838),
+    # adjacent members: the candidate's own run is empty
+    ((2, 2, 2, 2, 1), 10, 11): (0, (10, 11), 115440, 6601),
+}
+
+
+@pytest.mark.parametrize("params, src, dst", EXHAUSTIVE_REPORTS)
+def test_exhaustive_reports_are_pinned(params, src, dst):
+    code = with_duplicate(assemble_parallel(*params), src, dst)
+    r = min_distance_exhaustive(code)
+    assert (r.distance, r.witness, r.pairs_checked,
+            r.pairs_ranked) == EXHAUSTIVE_REPORTS[params, src, dst]
+
+
+def test_two_member_code_has_an_empty_witness_pass():
+    base = assemble_parallel(2, 2, 2, 2, 1)
+    r = min_distance_exhaustive(CDC(base.q, base.ambient, base.k, base.d,
+                                    base.codes[:2]))
+    assert (r.distance, r.witness, r.pairs_checked, r.pairs_ranked) == (4, (0, 1), 1, 1)
 
 
 def test_duplicate_member_is_found_first():
@@ -686,22 +717,64 @@ def test_cross_class_witness_comes_before_same_class_pairs():
 
 def test_witness_pass_walks_past_the_first_block():
     # 64 lifted members pairwise at distance 4, all in one class, and one
-    # member of another class at distance 2 from a few of them, which are
-    # moved to the end: the witness is a cross-class pair whose index is
-    # beyond the first CHUNK pairs
+    # member of another class, in canonical rows like every member, at
+    # distance 2 from a few of them, which are moved to the end: the
+    # witness is a cross-class pair whose index is beyond the first CHUNK
+    # pairs
     lifted = lifted_code(2, 3, 3, 2)
-    u = lifted.codes[-1]
-    extra = np.array([u[0], u[1], 1 << 5], dtype=np.uint64)
+    u = lifted.codes[-1].tolist()
+    extra = np.array(packed_rref([u[0], u[1], 1 << 5], field_of(2), 6),
+                     dtype=np.uint64)
     near = [t for t in range(64) if subspace_distance(
         member(lifted, t), Subspace(2, 6, tuple(extra.tolist()))) == 2]
     assert 0 < len(near) < 8
     keep = [t for t in range(64) if t not in near] + near
     code = CDC(2, 6, 3, 4, np.vstack([lifted.codes[keep], extra]))
+    assert extra.tolist() == [1, 2, 32]
+    assert pivot_masks(code.codes, 2, 6).all()  # every member canonical
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == scalar_exhaustive(code)
     i, j = report.witness
     assert report.distance == 2 and j == 64
     assert i * (2 * 65 - i - 1) // 2 + j - i - 1 > CHUNK
+
+
+@st.composite
+def pair_runs(draw):
+    """A small order and runs (i, first, length) over it, with zero-length
+    runs first, in the middle and last."""
+    size = draw(st.integers(1, 64))
+    runs = []
+    for _ in range(draw(st.integers(0, 80))):
+        first = draw(st.integers(0, size))
+        runs.append((draw(st.integers(0, 999)), first,
+                     draw(st.integers(0, size - first))))
+    runs.insert(draw(st.integers(0, len(runs))), (7, 0, 0))
+    order = draw(st.permutations(range(size)))
+    return order, [(3, size, 0)] + runs + [(5, 1, 0)]
+
+
+def seam_runs(size, count, empty_at):
+    # count full runs over an order of size, an empty run at empty_at
+    runs = [(t, 0, size) for t in range(count)]
+    runs.insert(empty_at, (9, size, 0))
+    return list(range(size)), [(1, 0, 0)] + runs + [(2, size, 0)]
+
+
+@given(pair_runs())
+@example(seam_runs(50, 100, 41))  # seams fall inside runs
+@example(seam_runs(64, 70, 32))  # an empty run on the seam at CHUNK
+@example(([0, 1], [(0, 2, 0), (1, 0, 0)]))  # no pairs at all
+@settings(max_examples=60, deadline=None)
+def test_pair_blocks_cut_the_runs_in_order(case):
+    order, runs = case
+    i, first, length = (np.array(column, dtype=np.int64) for column in zip(*runs))
+    blocks = list(_pair_blocks(np.array(order, dtype=np.int64), [(i, first, length)]))
+    want = [(a, order[f + t]) for a, f, n in runs for t in range(n)]
+    assert [(int(a), int(b)) for x, y in blocks
+            for a, b in zip(x, y)] == want
+    assert all(1 <= len(x) == len(y) <= CHUNK for x, y in blocks)
+    assert len(blocks) == -(-len(want) // CHUNK)
 
 
 def test_one_class_code_ranks_every_pair():
