@@ -199,7 +199,7 @@ def read_code(path) -> CDC:
                 raise CodeFileError(
                     f"member {lo + first + 1} is not {k} rows of {ambient} "
                     f"digits of GF({q}) joined by '|'")
-            held = _held(block[:, :, :ambient].transpose(1, 0, 2), q, ambient)
+            held = _held(block[:, :, :ambient].transpose(1, 0, 2), q)
             bad = np.flatnonzero(_masks(held, q) == 0)
             if len(bad):
                 raise CodeFileError(

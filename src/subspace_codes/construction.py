@@ -92,7 +92,7 @@ ROW_LIMIT = 2 ** 64
 
 def _member_keys(codes):
     # one 64-bit multiply-xorshift hash per member: equal members get equal
-    # keys, and distinct_count compares rows wherever keys collide
+    # keys, and CDC.repeats compares rows wherever keys collide
     keys = np.zeros(len(codes), dtype=np.uint64)
     for col in codes.T:
         keys ^= col
@@ -113,7 +113,7 @@ class CDC:
 
     The rows are not checked here, but they must be canonical: the distance
     scans clear each member's pivot columns from the other member's rows,
-    and distinct_count takes equal rows for equal subspaces.
+    and repeats takes equal rows for equal subspaces.
     assemble_parallel emits canonical rows, and read_code checks every
     member of a code file.
     """
@@ -165,24 +165,33 @@ class CDC:
         sizes = self.round_sizes
         return sizes and np.arange(len(sizes), dtype=np.uint16).repeat(sizes)
 
-    def distinct_count(self) -> int:
-        """Number of distinct members, by one sort of a hash key per member.
+    def repeats(self):
+        """The members whose rows equal an earlier member's, by one sort of
+        a hash key per member.
 
-        Only members whose key repeats have their rows compared.
+        Returns two index arrays (earlier, later): member later[t] repeats
+        member earlier[t], its nearest earlier copy, so no member is earlier
+        twice.  Only members whose key repeats have their rows compared.
         """
-        m = len(self.codes)
         keys = _member_keys(self.codes)
         ordered = np.sort(keys)
-        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
-        if not len(repeats):
-            return m
+        shared = ordered[1:][ordered[1:] == ordered[:-1]]
+        if not len(shared):
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         # the members whose key repeats, sorted by (key, rows): equal
-        # members are neighbours inside one key run
-        at = repeats.searchsorted(keys).clip(max=len(repeats) - 1)
-        clash = np.flatnonzero(repeats[at] == keys)
+        # members are neighbours inside one key run, in ascending index
+        # order, since the sort is stable
+        at = shared.searchsorted(keys).clip(max=len(shared) - 1)
+        clash = np.flatnonzero(shared[at] == keys)
         rows = self.codes[clash]
-        rows = rows[np.lexsort((*rows.T, keys[clash]))]
-        return m - int(np.count_nonzero((rows[1:] == rows[:-1]).all(axis=1)))
+        order = np.lexsort((*rows.T, keys[clash]))
+        clash, rows = clash[order], rows[order]
+        same = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        return clash[same], clash[same + 1]
+
+    def distinct_count(self) -> int:
+        """Number of distinct members: those that repeat no earlier one."""
+        return len(self) - len(self.repeats()[0])
 
 
 def assemble_parallel(q: int, n: int, k: int, d: int, s: int,

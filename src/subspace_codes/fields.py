@@ -449,8 +449,9 @@ def packed_rref(rows, field: Field, width: int) -> tuple:
 # form helpers _encode, _held, _decode, _leads, _ones, _monic and _clear
 # know a row's form: packed bits at q = 2, ones and twos bit planes at
 # q = 3 and digit arrays otherwise.  _held gives that form straight from
-# digits, for the code-file reader.  packed_rref and packed_rank above are
-# their reference.
+# digits, for the code-file reader; it, _leads and _ones turn a digit mask
+# into bit rows with one packer, _bits.  packed_rref and packed_rank above
+# are their reference.
 
 CHUNK = 1 << 11  # stacks, pairs or code-file lines per numpy pass
 
@@ -469,8 +470,7 @@ def _plane_tables():
     # into[x] holds the 8-bit ones and twos planes of the 8-digit GF(3) row
     # x; back[b] is the GF(3) row whose digits are the bits of the byte b
     digits = unpack_rows(np.arange(3 ** 8, dtype=np.uint64), 3, 8)
-    into = (pack_rows(digits == 1, 2).astype(np.uint8),
-            pack_rows(digits == 2, 2).astype(np.uint8))
+    into = tuple(_bits(digits[None], 1, 2)[0])
     back = pack_rows(unpack_rows(np.arange(256, dtype=np.uint64), 2, 8), 3)
     return into, back
 
@@ -498,20 +498,30 @@ def _encode(rows, q: int, width: int):
     return planes
 
 
-def _held(digits, q: int, width: int):
-    # (k, B, width) uint8 digits, in any strides, held as _encode gives
-    # their rows.  Packed q = 2 rows are the digits' bits, q = 3 planes the
-    # bits of digits == 1 and == 2: one flat packbits of the digits padded
-    # to the rows' unsigned type (packbits along an axis is far slower)
-    if q > 3:
-        return np.ascontiguousarray(digits)
+def _bits(digits, *values):
+    # (..., width) digits, in any strides, as (...) rows of the narrowest
+    # unsigned type that holds width bits, bit c set where digit c is
+    # nonzero; given values, (k, B, width) digits give (k, v, B) rows, bit
+    # c set where digit c equals the value.  One flat packbits of the padded
+    # digits (packbits along an axis is far slower); the padding is most
+    # of the cost, so the values are compared after it
+    width = digits.shape[-1]
     dtype = np.min_scalar_type((1 << width) - 1)
     padded = np.zeros(digits.shape[:-1] + (8 * dtype.itemsize,), dtype=np.uint8)
     padded[..., :width] = digits
-    if q == 3:
-        padded = padded[:, None] == np.arange(1, 3, dtype=np.uint8)[:, None, None]
+    if values:
+        padded = padded[:, None] == np.array(values, dtype=np.uint8)[:, None, None]
     bits = np.packbits(padded, bitorder="little")
     return bits.view(dtype).reshape(padded.shape[:-1])
+
+
+def _held(digits, q: int):
+    # (k, B, width) uint8 digits, in any strides, held as _encode gives
+    # their rows: packed q = 2 rows are the digits' bits, q = 3 planes the
+    # bits of digits == 1 and == 2
+    if q > 3:
+        return np.ascontiguousarray(digits)
+    return _bits(digits) if q == 2 else _bits(digits, 1, 2)
 
 
 def _decode(held, q: int, width: int):
@@ -531,7 +541,7 @@ def _leads(rows, q: int):
     # rows held as _encode gives them: (r, B) supports, bit c set where column
     # c is nonzero, their lowest set bits and the (B,) pivots, their union
     s = rows if q == 2 else (rows[:, 0] | rows[:, 1] if q == 3
-                             else pack_rows(rows != 0, 2))
+                             else _bits(rows))
     low = s & -s
     return s, low, np.bitwise_or.reduce(low, axis=0)
 
@@ -541,7 +551,7 @@ def _ones(rows, q: int):
     # column c is 1
     if q == 2:
         return rows
-    return rows[:, 0] if q == 3 else pack_rows(rows == 1, 2)
+    return rows[:, 0] if q == 3 else _bits(rows == 1)
 
 
 def _monic(v, q: int):

@@ -94,10 +94,10 @@ class DistanceReport:
     then flagged vacuous and carries the unreachable value 2 * ambient,
     which compares as at least any claimed distance.  ``pairs_ranked`` of
     the ``pairs_checked`` pairs had their rank computed: the exhaustive scan
-    bounds the others, and stops at distance 2 once the members are
-    distinct; a sampled scan stops ranking at distance 0 while its draws go
-    on.  ``topup_found`` of ``topup_requested`` stratified cross-round
-    pairs were sampled.
+    bounds the others and stops at distance 2, and ranks none when members
+    repeat, since ``CDC.repeats`` gives distance 0; a sampled scan stops
+    ranking at distance 0 while its draws go on.  ``topup_found`` of
+    ``topup_requested`` stratified cross-round pairs were sampled.
     """
 
     distance: int
@@ -189,20 +189,21 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
 
     Refuses (BudgetExceededError) when the pair count exceeds the budget,
     default 2^28; min_distance_sampled is the way out for bigger codes.
-    A reported 0 means two members are the same subspace.
 
-    Members are grouped by identifying vector, the pivot columns of their
-    canonical rows.  By Etzion and Silberstein (IEEE Trans. IT 2009,
-    Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), so class pairs are ranked in
-    increasing d_H, same-class pairs first, until the next d_H is at least
-    the minimum found; the pairs left are bounded, not ranked.  When the
-    stored rows are distinct (``CDC.distinct_count``) the scan also stops
-    at 2: the distance 2 (k - dim U∩W) is even and 0 only for equal
-    subspaces (Koetter and Kschischang, IEEE Trans. IT 2008).  A witness
-    pass then ranks, in (i, j) order, the pairs before the candidate
-    witness whose d_H is at most the minimum, so the witness is the first
-    pair at the minimum in (i, j) order.  ``pairs_checked`` counts every
-    pair, ranked or bounded; ``pairs_ranked`` the ranks computed.
+    The distance 2 (k - dim U∩W) is even and 0 only for equal subspaces
+    (Koetter and Kschischang, IEEE Trans. IT 2008), that is equal
+    canonical rows.  When ``CDC.repeats`` finds any, the distance is 0 and
+    the witness the first equal pair in (i, j) order, with no rank
+    computed.  Otherwise members are grouped by identifying vector, the
+    pivot columns of their canonical rows.  By Etzion and Silberstein (IEEE
+    Trans. IT 2009, Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), so class pairs
+    are ranked in increasing d_H, same-class pairs first, until the next
+    d_H is at least the minimum found or the minimum is 2; the pairs left
+    are bounded, not ranked.  A witness pass then ranks, in (i, j) order,
+    the pairs before the candidate witness whose d_H is at most the
+    minimum, so the witness is the first pair at the minimum in (i, j)
+    order.  ``pairs_checked`` counts every pair, ranked or bounded;
+    ``pairs_ranked`` the ranks computed.
     """
     m = len(code)
     if m < 2:
@@ -213,6 +214,13 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
         raise BudgetExceededError(
             f"{pairs} pairs exceed the pair budget of {budget}; "
             f"use sampled verification instead")
+    earlier, later = code.repeats()
+    if len(earlier):
+        # no member is earlier twice, so the smallest earlier gives the first
+        # equal pair
+        t = int(earlier.argmin())
+        return DistanceReport(0, (int(earlier[t]), int(later[t])), pairs,
+                              "exhaustive")
 
     # classes of equal pivot masks, original order kept inside each class
     masks = pivot_masks(code.codes, code.q, code.ambient)
@@ -221,16 +229,15 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
     starts = np.flatnonzero(np.concatenate([[True], held[1:] != held[:-1]]))
     sizes, keys = np.diff(np.append(starts, m)), held[starts]
 
-    # the least distance the members allow: distinct ones are at least 2 apart
-    least = 2 if code.distinct_count() == m else 0
+    # the members are distinct, so at least 2 apart
     best = witness = None
     ranked = 0
     for gap in range(2 * code.k + 1):  # two k-bit masks differ in <= 2k bits
-        if best is not None and best <= max(gap, least):
+        if best is not None and best <= max(gap, 2):
             break
         blocks = _pair_blocks(order, _runs(order, starts, sizes,
                                            _class_pairs(keys, gap)))
-        dist, pair, n = _scan(code, blocks, floor=max(gap, least))
+        dist, pair, n = _scan(code, blocks, floor=max(gap, 2))
         ranked += n
         if dist is not None and (best is None or (dist, pair) < (best, witness)):
             best, witness = dist, pair

@@ -24,7 +24,7 @@ from subspace_codes.errors import (
 )
 from subspace_codes.fields import field_of, mat_rank, mat_sub, matrix, unpack_row
 from subspace_codes.gabidulin import BUDGET_ENV_VAR, gabidulin_enumerate, sq_filter
-from subspace_codes.verify import subspace_distance
+from subspace_codes.verify import min_distance_exhaustive, subspace_distance
 
 
 def all_binary_2x2():
@@ -280,21 +280,57 @@ def test_distinct_count_finds_duplicates_anywhere():
                                                    for c in codes]
 
 
+def every_key_collides(codes):
+    return np.zeros(len(codes), dtype=np.uint64)
+
+
+def keys_of_first_rows(codes):
+    # members that share their first row share a key and the others keep
+    # keys of their own, so runs of distinct rows under one key sit among
+    # unique keys
+    return codes[:, 0].copy()
+
+
 def test_distinct_count_compares_rows_when_every_key_collides(monkeypatch):
-    monkeypatch.setattr(construction, "_member_keys",
-                        lambda codes: np.zeros(len(codes), dtype=np.uint64))
+    monkeypatch.setattr(construction, "_member_keys", every_key_collides)
     for code in duplicated_codes():
         assert code.distinct_count() == distinct_by_set(code)
 
 
 def test_distinct_count_compares_rows_when_some_keys_collide(monkeypatch):
-    # members that share their first row share a key and the others keep
-    # keys of their own, so runs of distinct rows under one key sit among
-    # unique keys
-    monkeypatch.setattr(construction, "_member_keys",
-                        lambda codes: codes[:, 0].copy())
+    monkeypatch.setattr(construction, "_member_keys", keys_of_first_rows)
     for code in duplicated_codes():
         assert code.distinct_count() == distinct_by_set(code)
+
+
+def repeats_by_dict(code):
+    """(earlier, later) pairs of each member and its nearest earlier copy,
+    in later order, read off a dict of row tuples."""
+    last, pairs = {}, []
+    for j, rows in enumerate(map(tuple, code.codes.tolist())):
+        if rows in last:
+            pairs.append((last[rows], j))
+        last[rows] = j
+    return pairs
+
+
+@pytest.mark.parametrize("keys", [None, every_key_collides, keys_of_first_rows])
+def test_repeats_pair_each_member_with_its_nearest_earlier_copy(monkeypatch, keys):
+    if keys is not None:
+        monkeypatch.setattr(construction, "_member_keys", keys)
+    for code in duplicated_codes():
+        earlier, later = code.repeats()
+        want = repeats_by_dict(code)
+        assert sorted(zip(earlier.tolist(), later.tolist()),
+                      key=lambda pair: pair[1]) == want
+        assert code.distinct_count() == len(code) - len(earlier)
+        # the exhaustive scan takes its distance 0 and witness from here
+        report = min_distance_exhaustive(code)
+        if want:
+            assert (report.distance, report.witness) == (0, min(want))
+            assert report.pairs_ranked == 0
+        else:
+            assert report.distance >= 2
 
 
 def test_cdc_rejects_rows_past_uint64():

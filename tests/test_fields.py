@@ -716,7 +716,7 @@ def test_q3_kernels_across_chunk_seams_at_width_40():
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_kernels_take_only_their_own_row_form(monkeypatch, q):
     def refuse(*args):
-        raise AssertionError(f"q = {q} rows built tables of another row form")
+        raise AssertionError(f"q = {q} rows called a helper they must not")
 
     # the lru-cached tables of the forms that q's rows must not take
     other_forms = {2: ("_tables", "_plane_tables", "_digit_table"),
@@ -731,7 +731,14 @@ def test_kernels_take_only_their_own_row_form(monkeypatch, q):
     assert_matches_scalar(stacks, q, width)
     heads = np.array(stacks, dtype=np.uint64)[:, 1:].copy()
     rref_rows(heads, q, width)
+    # join_ranks and pivot_masks give back no packed rows, so they pack no
+    # digits: a reduced stack with no zero row gets its leading columns
+    monkeypatch.setattr(fields, "pack_rows", refuse)
     assert_join_matches_scalar(heads.tolist(), stacks, q, width)
+    assert pivot_masks(heads, q, width).tolist() == [
+        sum(1 << next(c for c, d in enumerate(unpack_row(v, q, width)) if d)
+            for v in rows) if all(rows) else 0
+        for rows in heads.tolist()]
 
 
 @st.composite
@@ -883,7 +890,7 @@ def test_held_reads_digits_as_the_kernels_hold_rows(case):
     q, width, lines = case
     # row t of every stack, the strided view the code-file reader passes
     digits = lines.transpose(1, 0, 2)
-    held = fields._held(digits, q, width)
+    held = fields._held(digits, q)
     want = fields._encode(pack_rows(digits, q), q, width)
     assert np.array_equal(held, want)
     # q = 2 rows come in the narrowest unsigned type, like q = 3 planes

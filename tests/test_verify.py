@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subspace_codes import verify
 from subspace_codes.bounds import block_cardinalities
 from subspace_codes.construction import (
     CDC,
@@ -434,16 +435,16 @@ def test_sampled_reports_are_pinned(params, samples, seed):
 
 
 # (params, src, dst) -> (distance, witness, pairs_checked, pairs_ranked)
-# of the exhaustive scan with member src copied onto member dst, recorded
-# before the witness pass read its pairs off _pair_blocks.  The witness
-# pass ranks most of these pairs, and the scalar scan does not count them
+# of the exhaustive scan with member src copied onto member dst.  The
+# distance, witness and pair count were recorded from a rank scan;
+# CDC.repeats gives them with no rank computed
 EXHAUSTIVE_REPORTS = {
-    ((2, 3, 3, 2, 0), 285, 854): (0, (285, 854), 365085, 212172),
-    ((2, 2, 2, 2, 1), 160, 480): (0, (160, 480), 115440, 57007),
-    ((3, 2, 2, 2, 0), 37, 112): (0, (37, 112), 6328, 5862),
-    ((4, 2, 2, 2, 0), 110, 330): (0, (110, 330), 54615, 44838),
-    # adjacent members: the candidate's own run is empty
-    ((2, 2, 2, 2, 1), 10, 11): (0, (10, 11), 115440, 6601),
+    ((2, 3, 3, 2, 0), 285, 854): (0, (285, 854), 365085, 0),
+    ((2, 2, 2, 2, 1), 160, 480): (0, (160, 480), 115440, 0),
+    ((3, 2, 2, 2, 0), 37, 112): (0, (37, 112), 6328, 0),
+    ((4, 2, 2, 2, 0), 110, 330): (0, (110, 330), 54615, 0),
+    # adjacent members
+    ((2, 2, 2, 2, 1), 10, 11): (0, (10, 11), 115440, 0),
 }
 
 
@@ -465,9 +466,10 @@ def test_two_member_code_has_an_empty_witness_pass():
 def test_duplicate_member_is_found_first():
     code = with_duplicate(assemble_parallel(2, 2, 2, 2, 1), 3)
     report = min_distance_exhaustive(code)
-    # (3, 480) is the only zero-distance pair and the scan stops on it
+    # (3, 480) is the only zero-distance pair, found with no rank computed
     assert as_tuple(report) == scalar_exhaustive(code)
     assert report.distance == 0 and report.witness == (3, 480)
+    assert report.pairs_ranked == 0
     for seed in range(3):
         got = min_distance_sampled(code, 3000, seed=seed)
         assert as_tuple(got) == scalar_sampled(code, 3000, seed)
@@ -658,7 +660,8 @@ def test_exhaustive_matches_scalar_scan_over_pivot_classes(data):
         code = data.draw(spread_codes(q))
         report = min_distance_exhaustive(code)
         assert as_tuple(report) == scalar_exhaustive(code)
-        assert report.pairs_ranked >= 1
+        # a repeat is found with no rank, and a distinct pair needs one
+        assert (report.pairs_ranked == 0) == (report.distance == 0)
 
 
 @given(st.data())
@@ -785,12 +788,11 @@ def test_one_class_code_ranks_every_pair():
     assert report.pairs_ranked >= report.pairs_checked
 
 
-def test_floor_falls_back_to_zero_when_rows_repeat():
+def test_repeat_in_the_last_class_is_found_with_no_rank():
     # 70 members of the class 0b11, whose 2415 pairs fill more than one
     # block and put (0, 5) at distance 2 in the first, then member 480 of
     # the later class 0b10001 and its copy: the duplicate pair (70, 71)
-    # comes last in class order and in (i, j) order.  A floor of 2 would
-    # end the scan on the first block
+    # comes last in class order and in (i, j) order, and no class is scanned
     base = assemble_parallel(2, 2, 2, 2, 1)
     code = CDC(base.q, base.ambient, base.k, base.d,
                base.codes[[*range(70), 480, 480]])
@@ -801,6 +803,25 @@ def test_floor_falls_back_to_zero_when_rows_repeat():
     assert code.distinct_count() == len(code) - 1
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == scalar_exhaustive(code) == (0, (70, 71), 2556)
+    assert report.pairs_ranked == 0
+
+
+def test_repeats_are_reported_with_no_pivot_mask_and_no_rank(monkeypatch):
+    # member 2808 of (2,2,2,2,2) copied onto member 8424: a rank scan of
+    # pivot classes ranked 15,125,091 of the 35,486,100 pairs to find it
+    code = with_duplicate(assemble_parallel(2, 2, 2, 2, 2), 2808, 8424)
+
+    def refuse(*args):
+        raise AssertionError("a code with repeats took a kernel")
+
+    monkeypatch.setattr(verify, "join_ranks", refuse)
+    monkeypatch.setattr(verify, "pivot_masks", refuse)
+    want = (0, (2808, 8424), 35486100, 0)
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) + (report.pairs_ranked,) == want
+    # samples that cover every pair hand over to the exhaustive scan
+    report = min_distance_sampled(code, 35486100)
+    assert as_tuple(report) + (report.pairs_ranked,) == want
 
 
 def test_distance_two_codes_stop_at_the_first_block():
