@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import os
 import stat
+from functools import lru_cache
 
 import numpy as np
 
 from .bounds import CdcParams
-from .construction import CDC
+from .construction import CDC, ROW_LIMIT
 from .errors import CodeFileError, InvalidParameterError
-from .fields import CHUNK, SUPPORTED_Q, _decode, _held, _masks, unpack_rows
+from .fields import (CHUNK, SUPPORTED_Q, _decode, _digit_table, _groups,
+                     _held, _masks)
 
 MAGIC = "subspace-code"
 VERSION = 1
@@ -68,8 +70,19 @@ def _byte_check(q: int, ambient: int, k: int):
     return offset, span
 
 
+@lru_cache(maxsize=None)
+def _chars(q: int, g: int, end: bool):
+    """The characters of every g-digit group, "|" after a group that ends a row."""
+    return np.pad(_digit_table(q, g) + np.uint8(ord("0")), ((0, 0), (0, end)),
+                  constant_values=ord("|"))
+
+
 def write_code(code: CDC, path) -> None:
-    """Serialize a code; the exact inverse of read_code."""
+    """Serialize a code; the exact inverse of read_code.
+
+    A row at or past q**ambient is refused with InvalidParameterError
+    before the path is opened.
+    """
     q, ambient, k = code.q, code.ambient, code.k
     header = [f"{MAGIC} v{VERSION}", f"q={q}", f"ambient={ambient}",
               f"k={k}", f"d={code.d}", f"members={len(code)}"]
@@ -77,16 +90,23 @@ def write_code(code: CDC, path) -> None:
     if p is not None and p.n is not None:
         header.append(f"construction=parallel n={p.n} s={p.s}")
     header.append("--")
-    offset = _byte_check(q, ambient, k)[0]
-    out = np.tile(offset, (min(CHUNK, len(code)), 1, 1))
+    # a row past q**ambient would index a character table from its end
+    if q ** ambient < ROW_LIMIT and code.codes.max(initial=0) >= q ** ambient:
+        member, row = divmod(int(np.argmax(code.codes >= q ** ambient)), k)
+        raise InvalidParameterError(
+            f"member {member + 1} row {row + 1} is not a row of {ambient} "
+            f"digits of GF({q})")
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for lo in range(0, len(code), CHUNK):
-            chunk = code.codes[lo:lo + CHUNK]
-            # offset is "0" at every digit: a scalar add, faster than the row
-            np.add(unpack_rows(chunk, q, ambient), offset[0, 0],
-                   out=out[:len(chunk), :, :ambient])
-            fh.write(out[:len(chunk)])
+            # one lookup per digit group gives that group's characters of
+            # every row; a row that fits one group is a finished line block
+            groups = [_chars(q, g, c + g == ambient).take(group, axis=0)
+                      for c, g, group in _groups(code.codes[lo:lo + CHUNK],
+                                                 q, ambient)]
+            block = groups[0] if len(groups) == 1 else np.concatenate(groups, -1)
+            block[:, -1, -1] = ord("\n")
+            fh.write(block)
 
 
 def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):

@@ -381,20 +381,31 @@ def _digit_table(q: int, g: int) -> np.ndarray:
     return (x // q ** np.arange(g, dtype=np.uint64) % q).astype(np.uint8)
 
 
-def unpack_rows(rows, q: int, width: int) -> np.ndarray:
-    """unpack_row along a new uint8 axis; a row >= q**width is an IndexError."""
-    # g digits per lookup in a table of at most 48 KB (q**g <= 2**12), one
-    # floor division by the scalar q**g between groups; a row clamped to
-    # q**width fails the last lookup instead of indexing from the table's end
-    g = max(c for c in range(1, 13) if q ** c <= 1 << 12)
-    digits = np.empty(rows.shape + (width,), dtype=np.uint8)
-    rows = np.minimum(rows, min(q ** width, (1 << 64) - 1))
+def _groups(rows, q: int, width: int, g: int = 0):
+    # the digit groups of packed rows, column 0 first: (column, digits,
+    # values) per group of g digits, by default the most whose
+    # _digit_table(q, g) has at most 4096 rows (48 KB).  One floor division
+    # by the scalar q**g between groups; the last group is the digits left,
+    # so it looks up a table of its own width, and a row >= q**width gives
+    # it a value past that table's end
+    g = g or max(c for c in range(1, 13) if q ** c <= 1 << 12)
+    base = np.uint64(q ** g)
     for c in range(0, width, g):
         group = rows
         if c + g < width:
-            rows = group // np.uint64(q ** g)
-            group = group - rows * np.uint64(q ** g)
-        digits[..., c:c + g] = _digit_table(q, min(g, width - c)).take(group, axis=0)
+            rows = group // base
+            group = group - rows * base
+        yield c, min(g, width - c), group
+
+
+def unpack_rows(rows, q: int, width: int) -> np.ndarray:
+    """unpack_row along a new uint8 axis; a row >= q**width is an IndexError."""
+    # a row clamped to q**width fails the last lookup instead of indexing
+    # from the table's end
+    digits = np.empty(rows.shape + (width,), dtype=np.uint8)
+    rows = np.minimum(rows, min(q ** width, (1 << 64) - 1))
+    for c, g, group in _groups(rows, q, width):
+        digits[..., c:c + g] = _digit_table(q, g).take(group, axis=0)
     return digits
 
 
@@ -487,12 +498,7 @@ def _encode(rows, q: int, width: int):
     into, _ = _plane_tables()
     planes = np.zeros((len(rows), 2, rows.shape[1]),
                       dtype=np.min_scalar_type((1 << width) - 1))
-    base = np.uint64(3 ** 8)
-    for shift in range(0, width, 8):
-        digits = rows
-        if shift + 8 < width:
-            rows = digits // base
-            digits = digits - rows * base
+    for shift, _, digits in _groups(rows, 3, width, 8):
         for plane, table in zip(planes.transpose(1, 0, 2), into):
             plane |= table.take(digits).astype(plane.dtype, copy=False) << shift
     return planes

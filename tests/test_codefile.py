@@ -10,7 +10,7 @@ import pytest
 from subspace_codes import codefile, fields
 from subspace_codes.codefile import CHUNK, read_code, write_code
 from subspace_codes.construction import CDC, assemble_parallel
-from subspace_codes.errors import CodeFileError
+from subspace_codes.errors import CodeFileError, InvalidParameterError
 from subspace_codes.fields import SUPPORTED_Q, rref_rows, unpack_row
 
 
@@ -38,7 +38,7 @@ def test_roundtrip_nonbinary(tmp_path):
     assert back.codes.tolist() == code.codes.tolist()
 
 
-@pytest.mark.parametrize("params, sha256", [
+GOLDEN = [
     ((2, 2, 2, 2, 1),
      "9bd077958a3343c3e76140b309cc9e3fd71262e8948a2e702458826e088c98df"),
     ((3, 2, 2, 2, 0),
@@ -58,7 +58,10 @@ def test_roundtrip_nonbinary(tmp_path):
      "0c52832b704a32bdb32d90277c06291883c7341e2ca4ba089fbcb4eebba77551"),
     ((3, 2, 2, 2, 1),
      "8c1a96a75822a1873cdb43a66a2a10452807062a6150c85493c13addc8ad025d"),
-])
+]
+
+
+@pytest.mark.parametrize("params, sha256", GOLDEN)
 def test_written_file_is_byte_identical_to_golden(tmp_path, params, sha256):
     path = tmp_path / "code.txt"
     write_code(assemble_parallel(*params), path)
@@ -346,6 +349,70 @@ def random_code(q, ambient, members):
                         size=(2 * members, 2), dtype=np.uint64)
     ranks = rref_rows(rows, q, ambient)
     return CDC(q, ambient, 2, 2, rows[ranks == 2][:members])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_writer_writes_digit_groups_straight_into_the_line(tmp_path,
+                                                          monkeypatch, q):
+    # the writer looks each digit group's characters up in one table, so
+    # no digit array is unpacked first
+    params = (q, 2, 2, 2, 1 if q == 2 else 0)
+    code = assemble_parallel(*params)
+
+    def refuse(*args):
+        raise AssertionError(f"the q = {q} writer called unpack_rows")
+
+    monkeypatch.setattr(fields, "unpack_rows", refuse)
+    monkeypatch.setattr(codefile, "unpack_rows", refuse, raising=False)
+    path = tmp_path / "c.txt"
+    write_code(code, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == dict(GOLDEN)[params]
+
+
+# the widest row of each q that a uint64 holds
+WIDTH_LIMIT = {q: max(w for w in range(1, 65) if q ** w <= 1 << 64)
+               for q in SUPPORTED_Q}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_writer_matches_scalar_lines_at_digit_group_seams(tmp_path, q):
+    """Widths at the seams of the writer's digit groups (g digits per
+    lookup, g the widest with q**g <= 2**12), up to the row limit, and
+    codes across a CHUNK seam: every body line is the rows' unpack_row
+    digits joined by "|" and ended by "\n", and the file reads back."""
+    g = max(c for c in range(1, 13) if q ** c <= 1 << 12)
+    for width in sorted({g - 1, g, g + 1, 2 * g + 1, WIDTH_LIMIT[q]} - {0, 1}):
+        full = random_code(q, width, CHUNK + 1)
+        assert len(full) == CHUNK + 1
+        lines = ["|".join("".join(map(str, unpack_row(v, q, width)))
+                          for v in member) + "\n"
+                 for member in full.codes.tolist()]
+        for members in (0, 1, CHUNK, CHUNK + 1):
+            code = CDC(q, width, 2, 2, full.codes[:members])
+            path = tmp_path / f"w{width}m{members}.txt"
+            write_code(code, path)
+            data = path.read_text()
+            body = data[data.index("--\n") + 3:]
+            assert body.splitlines(keepends=True) == lines[:members]
+            assert np.array_equal(read_code(path).codes, code.codes)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_writer_refuses_rows_past_the_width_before_opening(tmp_path, q):
+    # a row at or past q**ambient has no digits of the file's width; the
+    # writer names it and leaves a file already at the path as it was
+    ambient = 6
+    good = random_code(q, ambient, CHUNK + 1).codes
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"kept")
+    for bad in (q ** ambient, 1 << 63, (1 << 64) - 1):
+        codes = good.copy()
+        codes[CHUNK, 1] = bad
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^member {CHUNK + 1} row 2 is not a row "
+                                 rf"of {ambient} digits of GF\({q}\)$"):
+            write_code(CDC(q, ambient, 2, 2, codes), path)
+        assert path.read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("q, ambient", [(2, a) for a in (8, 9, 16, 17, 32, 33, 64)]
