@@ -20,8 +20,9 @@ Lines starting with ``#`` before the ``--`` separator are comments.
 After the separator come exactly ``members`` lines of
 k * (ambient + 1) bytes: k groups of ``ambient`` base-q digit characters
 joined by ``|`` and ended by ``\n``, row 0 first, column 0 as the leftmost
-digit of a group.  ``_byte_check`` writes that line layout down once, for
-the writer and the reader.
+digit of a group.  The writer puts each digit group's characters into
+place with one lookup in ``_chars``; ``_byte_check`` writes the whole line
+layout down for the reader's byte check.
 
 Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
@@ -73,8 +74,9 @@ def _byte_check(q: int, ambient: int, k: int):
 @lru_cache(maxsize=None)
 def _chars(q: int, g: int, end: bool):
     """The characters of every g-digit group, "|" after a group that ends a row."""
-    return np.pad(_digit_table(q, g) + np.uint8(ord("0")), ((0, 0), (0, end)),
-                  constant_values=ord("|"))
+    chars = np.full((q ** g, g + end), ord("|"), dtype=np.uint8)
+    chars[:, :g] = _digit_table(q, g) + np.uint8(ord("0"))
+    return chars
 
 
 def write_code(code: CDC, path) -> None:
@@ -90,7 +92,7 @@ def write_code(code: CDC, path) -> None:
     if p is not None and p.n is not None:
         header.append(f"construction=parallel n={p.n} s={p.s}")
     header.append("--")
-    # a row past q**ambient would index a character table from its end
+    # a row at or past q**ambient would index a character table from its end
     if q ** ambient < ROW_LIMIT and code.codes.max(initial=0) >= q ** ambient:
         member, row = divmod(int(np.argmax(code.codes >= q ** ambient)), k)
         raise InvalidParameterError(
