@@ -327,15 +327,15 @@ def test_import_fills_no_cache():
     # every CLI run pays for start-up, so importing the CLI builds no field,
     # table or jump table before a command asks for one
     probe = ("import subspace_codes.cli\n"
-             "from subspace_codes import fields, verify\n"
+             "from subspace_codes import codefile, fields, verify\n"
              "caches = (fields._field, fields.field_of, fields.extension_field, "
              "fields._tables, fields._plane_tables, fields._digit_table, "
-             "verify._lcg_jump)\n"
+             "codefile._chars, verify._lcg_jump)\n"
              "print([c.cache_info().currsize for c in caches])")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 @pytest.mark.parametrize("exc", [InternalConsistencyError("round member lost rank"),
