@@ -14,6 +14,7 @@ stream arithmetic trivial.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -94,9 +95,10 @@ class DistanceReport:
     then flagged vacuous and carries the unreachable value 2 * ambient,
     which compares as at least any claimed distance.  ``pairs_ranked`` of
     the ``pairs_checked`` pairs had their rank computed: the exhaustive scan
-    bounds the others and stops at distance 2, and ranks none when members
-    repeat, since ``CDC.repeats`` gives distance 0; a sampled scan stops
-    ranking at distance 0 while its draws go on.  ``topup_found`` of
+    ranks each once at most, bounds the rest by the minimum found before
+    them, stops at distance 2 and ranks none when members repeat, since
+    ``CDC.repeats`` gives distance 0; a sampled scan stops ranking at
+    distance 0 while its draws go on.  ``topup_found`` of
     ``topup_requested`` stratified cross-round pairs were sampled.
     """
 
@@ -114,74 +116,51 @@ def _vacuous_report(code: CDC, mode: str) -> DistanceReport:
     return DistanceReport(2 * code.ambient, None, 0, mode, vacuous=True)
 
 
-def _scan(code: CDC, blocks, floor: int = 0):
-    # blocks yields (i, j) index arrays; the distance of a pair is
+def _scan(code: CDC, blocks, floor: int = 0, masks=None):
+    # blocks yields (i, j) index arrays, i < j; the distance of a pair is
     # 2 * (rank[U; W] - k), twice what W adds to U, and the first pair at
-    # the minimum, smaller index first, is the witness.  Stops after the
-    # block where the minimum reaches floor; returns the minimum, the
-    # witness and the number of pairs ranked.  join_ranks clears U's pivot
-    # columns from W, so it relies on the member rows being canonical,
-    # which read_code checks for every code file
+    # the minimum in block order is the witness.  Given the members' pivot
+    # masks, a pair whose masks differ in at least the minimum so far is
+    # dropped unranked: its distance is at least that many bits.  Stops
+    # after the block where the minimum reaches floor; returns the
+    # minimum, the witness and the number of pairs ranked.  join_ranks
+    # clears U's pivot columns from W, so it relies on the member rows
+    # being canonical, which read_code checks for every code file
     best = witness = None
     ranked = 0
     for i, j in blocks:
+        if masks is not None and best is not None:
+            near = np.flatnonzero(np.bitwise_count(masks[i] ^ masks[j]) < best)
+            if not len(near):
+                continue
+            i, j = i[near], j[near]
         added = join_ranks(code.codes.take(i, axis=0),
                            code.codes.take(j, axis=0), code.q, code.ambient)
         ranked += len(added)
         t = int(added.argmin())
         dist = 2 * int(added[t])
         if best is None or dist < best:
-            best, witness = dist, tuple(sorted((int(i[t]), int(j[t]))))
+            best, witness = dist, (int(i[t]), int(j[t]))
             if best <= floor:
                 break
     return best, witness, ranked
 
 
-def _class_pairs(keys, gap: int):
-    # (a, b) arrays of the class pairs a <= b whose keys differ in gap bits,
-    # in (a, b) order, a few rows of the class table at a time
-    c = len(keys)
-    step = max(1, 16 * CHUNK // c)
-    for lo in range(0, c, step):
-        a, b = np.nonzero(np.triu(
-            np.bitwise_count(keys[lo:lo + step, None] ^ keys[lo:]) == gap))
-        if len(a):
-            yield a + lo, b + lo
-
-
-def _runs(order, starts, sizes, class_pairs):
-    # (i, first, length) arrays of at most 16 * CHUNK runs: member i against
-    # the members order[first:first + length].  Class pair (a, b) gives one
-    # run for each member of class a, against the members of class b, or
-    # for a == b against the members after it; a class's members are
-    # order[starts:starts + size]
-    for a, b in class_pairs:
-        same = a == b
-        n = sizes[a] - same
-        ends = np.cumsum(n)
-        for lo in range(0, int(ends[-1]), 16 * CHUNK):
-            r = np.arange(lo, min(lo + 16 * CHUNK, int(ends[-1])))
-            p = ends.searchsorted(r, "right")
-            at = starts[a[p]] + r - ends[p] + n[p]
-            first = np.where(same[p], at + 1, starts[b[p]])
-            yield order[at], first, starts[b[p]] + sizes[b[p]] - first
-
-
-def _pair_blocks(order, runs):
-    # (i, j) blocks of at most CHUNK pairs off each array of runs, from
-    # _runs or the witness pass, so that short runs share a block; a pair
-    # comes as (j, i) when the member of class a is the later one
-    for i, first, length in runs:
-        ends = np.cumsum(length)
-        base = first - ends + length  # order position of a run's pair 0
-        for lo in range(0, int(ends[-1]), CHUNK):
-            hi = min(lo + CHUNK, int(ends[-1]))
-            r0, r1 = ends.searchsorted([lo, hi - 1], "right")
-            count = length[r0:r1 + 1].copy()
-            count[0] -= lo - ends[r0] + length[r0]
-            count[-1] -= ends[r1] - hi
-            yield (np.repeat(i[r0:r1 + 1], count),
-                   order[np.repeat(base[r0:r1 + 1], count) + np.arange(lo, hi)])
+def _pair_blocks(i, first, length):
+    # (i, j) blocks of at most CHUNK pairs off the runs of member i[r]
+    # against the members first[r], ..., first[r] + length[r] - 1, in run
+    # order, so that short runs share a block
+    ends = np.cumsum(length)
+    # pair t, counted over all the runs, is (i[r], base[r] + t) in run r
+    base = first - ends + length
+    for lo in range(0, int(ends[-1]), CHUNK):
+        hi = min(lo + CHUNK, int(ends[-1]))
+        r0, r1 = ends.searchsorted([lo, hi - 1], "right")
+        count = length[r0:r1 + 1].copy()
+        count[0] -= lo - ends[r0] + length[r0]
+        count[-1] -= ends[r1] - hi
+        yield (np.repeat(i[r0:r1 + 1], count),
+               np.repeat(base[r0:r1 + 1], count) + np.arange(lo, hi))
 
 
 def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> DistanceReport:
@@ -194,15 +173,15 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
     (Koetter and Kschischang, IEEE Trans. IT 2008), that is equal
     canonical rows.  When ``CDC.repeats`` finds any, the distance is 0 and
     the witness the first equal pair in (i, j) order, with no rank
-    computed.  Otherwise members are grouped by identifying vector, the
-    pivot columns of their canonical rows.  By Etzion and Silberstein (IEEE
-    Trans. IT 2009, Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), so class pairs
-    are ranked in increasing d_H, same-class pairs first, until the next
-    d_H is at least the minimum found or the minimum is 2; the pairs left
-    are bounded, not ranked.  A witness pass then ranks, in (i, j) order,
-    the pairs before the candidate witness whose d_H is at most the
-    minimum, so the witness is the first pair at the minimum in (i, j)
-    order.  ``pairs_checked`` counts every pair, ranked or bounded;
+    computed.  Otherwise one pass walks the pairs in (i, j) order, pair
+    (0, 1) alone first, and stops at distance 2, the least between
+    distinct members.  By Etzion and Silberstein (IEEE Trans. IT 2009,
+    Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), where v is the identifying
+    vector, the pivot columns of the canonical rows; a pair whose vectors
+    differ in at least the minimum so far is bounded, not ranked.  Such a
+    pair is never the first at the final minimum, so the witness is the
+    first pair at the minimum in (i, j) order, and no pair is ranked
+    twice.  ``pairs_checked`` counts every pair, ranked or bounded;
     ``pairs_ranked`` the ranks computed.
     """
     m = len(code)
@@ -222,46 +201,17 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
         return DistanceReport(0, (int(earlier[t]), int(later[t])), pairs,
                               "exhaustive")
 
-    # classes of equal pivot masks, original order kept inside each class
-    masks = pivot_masks(code.codes, code.q, code.ambient)
-    order = np.argsort(masks, kind="stable")
-    held = masks[order]
-    starts = np.flatnonzero(np.concatenate([[True], held[1:] != held[:-1]]))
-    sizes, keys = np.diff(np.append(starts, m)), held[starts]
-
-    # the members are distinct, so at least 2 apart
-    best = witness = None
-    ranked = 0
-    for gap in range(2 * code.k + 1):  # two k-bit masks differ in <= 2k bits
-        if best is not None and best <= max(gap, 2):
-            break
-        blocks = _pair_blocks(order, _runs(order, starts, sizes,
-                                           _class_pairs(keys, gap)))
-        dist, pair, n = _scan(code, blocks, floor=max(gap, 2))
-        ranked += n
-        if dist is not None and (best is None or (dist, pair) < (best, witness)):
-            best, witness = dist, pair
-
-    # the witness pass: the pairs before the candidate in (i, j) order, as
-    # runs of member r against the members after it, the candidate's own
-    # run stopping short of it; a pair more than best bits apart cannot be
-    # at best
-    def near(blocks):
-        for a, b in blocks:
-            keep = np.bitwise_count(masks[a] ^ masks[b]) <= best
-            if keep.any():
-                yield a[keep], b[keep]
-
-    i, j = witness
-    r = np.arange(i + 1)
-    length = m - 1 - r
-    length[-1] = j - i - 1
-    blocks = _pair_blocks(np.arange(m), [(r, r + 1, length)])
-    dist, pair, n = _scan(code, near(blocks), floor=best)
-    if dist == best:
-        witness = pair
+    # member r against the members after it; pair (0, 1) goes first on
+    # its own, so that the bound prunes from the first block on
+    r = np.arange(m - 1)
+    first = np.maximum(r + 1, 2)
+    blocks = itertools.chain([(r[:1], r[:1] + 1)],
+                             _pair_blocks(r, first, m - first))
+    best, witness, ranked = _scan(
+        code, blocks, floor=2,
+        masks=pivot_masks(code.codes, code.q, code.ambient))
     return DistanceReport(best, witness, pairs, "exhaustive",
-                          pairs_ranked=ranked + n)
+                          pairs_ranked=ranked)
 
 
 def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceReport:

@@ -27,6 +27,7 @@ from subspace_codes.fields import (
     CHUNK,
     SUPPORTED_Q,
     field_of,
+    join_ranks,
     mat_rank,
     matrix,
     pack_row,
@@ -707,15 +708,16 @@ def test_pivot_masks_across_chunk_seams(q):
         scalar_pivot_mask(rows, q, width) for rows in stacks.tolist()]
 
 
-def test_cross_class_witness_comes_before_same_class_pairs():
+def test_in_order_scan_ends_on_a_first_pair_at_distance_two():
     # members 0 and 2 lead at columns {0, 1}, member 1 at {0, 2}; (0, 1)
-    # and (0, 2) are both at distance 2.  The class scan meets (0, 2)
-    # first, among the same-class pairs, and the witness pass ranks (0, 1)
+    # and (0, 2) are both at distance 2.  The scan ranks (0, 1) first, in
+    # a different class, and distance 2 is the least between distinct
+    # members, so it ranks nothing after it
     code = CDC(2, 4, 2, 2, [(0b0001, 0b0010), (0b0001, 0b0100),
                             (0b0001, 0b1010)])
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == scalar_exhaustive(code) == (2, (0, 1), 3)
-    assert report.pairs_ranked == 2  # (1, 2) is bounded: d_H = 2
+    assert report.pairs_ranked == 1
 
 
 def test_witness_pass_walks_past_the_first_block():
@@ -744,8 +746,8 @@ def test_witness_pass_walks_past_the_first_block():
 
 @st.composite
 def pair_runs(draw):
-    """A small order and runs (i, first, length) over it, with zero-length
-    runs first, in the middle and last."""
+    """Runs (i, first, length) over a few members, with zero-length runs
+    first, in the middle and last."""
     size = draw(st.integers(1, 64))
     runs = []
     for _ in range(draw(st.integers(0, 80))):
@@ -753,27 +755,25 @@ def pair_runs(draw):
         runs.append((draw(st.integers(0, 999)), first,
                      draw(st.integers(0, size - first))))
     runs.insert(draw(st.integers(0, len(runs))), (7, 0, 0))
-    order = draw(st.permutations(range(size)))
-    return order, [(3, size, 0)] + runs + [(5, 1, 0)]
+    return [(3, size, 0)] + runs + [(5, 1, 0)]
 
 
 def seam_runs(size, count, empty_at):
-    # count full runs over an order of size, an empty run at empty_at
+    # count full runs over size members, an empty run at empty_at
     runs = [(t, 0, size) for t in range(count)]
     runs.insert(empty_at, (9, size, 0))
-    return list(range(size)), [(1, 0, 0)] + runs + [(2, size, 0)]
+    return [(1, 0, 0)] + runs + [(2, size, 0)]
 
 
 @given(pair_runs())
 @example(seam_runs(50, 100, 41))  # seams fall inside runs
 @example(seam_runs(64, 70, 32))  # an empty run on the seam at CHUNK
-@example(([0, 1], [(0, 2, 0), (1, 0, 0)]))  # no pairs at all
+@example([(0, 2, 0), (1, 0, 0)])  # no pairs at all
 @settings(max_examples=60, deadline=None)
-def test_pair_blocks_cut_the_runs_in_order(case):
-    order, runs = case
+def test_pair_blocks_cut_the_runs_in_order(runs):
     i, first, length = (np.array(column, dtype=np.int64) for column in zip(*runs))
-    blocks = list(_pair_blocks(np.array(order, dtype=np.int64), [(i, first, length)]))
-    want = [(a, order[f + t]) for a, f, n in runs for t in range(n)]
+    blocks = list(_pair_blocks(i, first, length))
+    want = [(a, f + t) for a, f, n in runs for t in range(n)]
     assert [(int(a), int(b)) for x, y in blocks
             for a, b in zip(x, y)] == want
     assert all(1 <= len(x) == len(y) <= CHUNK for x, y in blocks)
@@ -792,7 +792,7 @@ def test_repeat_in_the_last_class_is_found_with_no_rank():
     # 70 members of the class 0b11, whose 2415 pairs fill more than one
     # block and put (0, 5) at distance 2 in the first, then member 480 of
     # the later class 0b10001 and its copy: the duplicate pair (70, 71)
-    # comes last in class order and in (i, j) order, and no class is scanned
+    # comes last in (i, j) order, and no pair is ranked
     base = assemble_parallel(2, 2, 2, 2, 1)
     code = CDC(base.q, base.ambient, base.k, base.d,
                base.codes[[*range(70), 480, 480]])
@@ -825,9 +825,8 @@ def test_repeats_are_reported_with_no_pivot_mask_and_no_rank(monkeypatch):
 
 
 def test_distance_two_codes_stop_at_the_first_block():
-    # distinct members are at least 2 apart: the class scan ends on its
-    # first block that holds a distance-2 pair, and the witness pass ranks
-    # only the pairs before that candidate
+    # distinct members are at least 2 apart: the scan ranks pair (0, 1),
+    # then ends on the first block that holds a distance-2 pair
     code = assemble_parallel(2, 3, 3, 2, 0)
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == (2, (0, 73), 365085)
@@ -836,6 +835,39 @@ def test_distance_two_codes_stop_at_the_first_block():
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == (2, (0, 257), 16077285)
     assert report.pairs_ranked < 2 * CHUNK + 257
+
+
+def unpruned_exhaustive(code):
+    """Minimum distance, first pair at it in (i, j) order, and pair count,
+    off one join_ranks over every pair."""
+    i, j = np.triu_indices(len(code), 1)
+    added = join_ranks(code.codes[i], code.codes[j], code.q, code.ambient)
+    t = int(added.argmin())
+    return 2 * int(added[t]), (int(i[t]), int(j[t])), len(i)
+
+
+@pytest.mark.parametrize("params, picks", [((2, 4, 4, 4, 0), (200, 100)),
+                                           ((3, 2, 2, 2, 0), (81, 32))])
+def test_running_minimum_prunes_like_an_unpruned_scan(params, picks):
+    # members drawn from both rounds, in a shuffled order: in some draws
+    # pair (0, 1), ranked alone first, is farther apart than the minimum,
+    # so the minimum turns up in a later block, under a looser bound
+    full = assemble_parallel(*params)
+    rounds = np.split(np.arange(len(full)), np.cumsum(full.round_sizes[:-1]))
+    farther = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        pick = rng.permutation(np.concatenate(
+            [rng.choice(members, n, replace=False)
+             for members, n in zip(rounds, picks)]))
+        code = CDC(full.q, full.ambient, full.k, full.d, full.codes[pick])
+        report = min_distance_exhaustive(code)
+        assert as_tuple(report) == unpruned_exhaustive(code)
+        # no pair is ranked twice
+        assert report.pairs_ranked <= report.pairs_checked
+        farther += subspace_distance(member(code, 0),
+                                     member(code, 1)) > report.distance
+    assert farther
 
 
 @pytest.mark.parametrize("q", [2, 3])
