@@ -53,7 +53,6 @@ from .gabidulin import (
     RankCode,
     empirical_rank_distribution,
     gabidulin_enumerate,
-    sq_filter,
 )
 from .verify import (
     DistanceReport,

@@ -113,41 +113,31 @@ def _ranks(code: RankCode):
     return join_ranks(words[:, :0], words, code.q, code.n)
 
 
-def sq_filter(code: RankCode, max_rank: int) -> RankCode:
-    """Keep the nonzero codewords of rank at most max_rank.
-
-    Order is preserved.  For a full code the size of the result equals the
-    truncated rank sum of its distribution, which the caller can
-    cross-check exactly.
-    """
-    if not 0 <= max_rank <= code.k:
-        raise InvalidParameterError(
-            f"max_rank must lie in [0, {code.k}], got {max_rank}")
-    ranks = _ranks(code)
-    keep = (ranks > 0) & (ranks <= max_rank)
-    return replace(code, codewords=code.codewords[keep])
-
-
 def empirical_rank_distribution(code: RankCode) -> dict:
     """Rank histogram of the stored codewords, as {rank: count}."""
     counts = np.bincount(_ranks(code))
     return {r: int(c) for r, c in enumerate(counts.tolist()) if c}
 
 
-def expected_low_rank_count(code: RankCode, max_rank: int) -> int:
-    """What sq_filter must return for the full code of this code's shape."""
-    return truncated_rank_sum(code.q, code.n, code.k, code.delta,
-                              code.delta, max_rank)
-
-
 def checked_sq_filter(code: RankCode, max_rank: int) -> RankCode:
-    """sq_filter plus an exact size check against the rank distribution."""
+    """Keep the nonzero codewords of rank at most max_rank, in code order.
+
+    The code must be the full evaluation code of its shape, so the number
+    kept is exactly the truncated rank sum of its rank distribution; a
+    filter that keeps any other number raises InternalConsistencyError.
+    """
+    if not 0 <= max_rank <= code.k:
+        raise InvalidParameterError(
+            f"max_rank must lie in [0, {code.k}], got {max_rank}")
     if len(code) != code.cardinality:
         raise InvalidParameterError(
             f"size check needs the full evaluation code of "
             f"{code.cardinality} words, got {len(code)}")
-    out = sq_filter(code, max_rank)
-    want = expected_low_rank_count(code, max_rank)
+    ranks = _ranks(code)
+    keep = (ranks > 0) & (ranks <= max_rank)
+    out = replace(code, codewords=code.codewords[keep])
+    want = truncated_rank_sum(code.q, code.n, code.k, code.delta,
+                              code.delta, max_rank)
     if len(out) != want:
         raise InternalConsistencyError(
             f"rank filter kept {len(out)} codewords, distribution says {want}")

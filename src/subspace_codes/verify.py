@@ -14,7 +14,6 @@ stream arithmetic trivial.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -95,8 +94,9 @@ class DistanceReport:
     then flagged vacuous and carries the unreachable value 2 * ambient,
     which compares as at least any claimed distance.  ``pairs_ranked`` of
     the ``pairs_checked`` pairs had their rank computed: the exhaustive scan
-    ranks each once at most, bounds the rest by the minimum found before
-    them, stops at distance 2 and ranks none when members repeat, since
+    ranks each once at most, ranks its first block of CHUNK pairs whole,
+    bounds later pairs by the minimum found in the blocks before them,
+    stops at distance 2 and ranks none when members repeat, since
     ``CDC.repeats`` gives distance 0; a sampled scan stops ranking at
     distance 0 while its draws go on.  ``topup_found`` of
     ``topup_requested`` stratified cross-round pairs were sampled.
@@ -146,20 +146,21 @@ def _scan(code: CDC, blocks, floor: int = 0, masks=None):
     return best, witness, ranked
 
 
-def _pair_blocks(i, first, length):
-    # (i, j) blocks of at most CHUNK pairs off the runs of member i[r]
-    # against the members first[r], ..., first[r] + length[r] - 1, in run
-    # order, so that short runs share a block
+def _pair_blocks(m):
+    # (i, j) blocks of at most CHUNK pairs i < j in (i, j) order: the runs
+    # of member i against i + 1, ..., m - 1, so that short runs share a
+    # block
+    length = np.arange(m - 1, 0, -1)
     ends = np.cumsum(length)
-    # pair t, counted over all the runs, is (i[r], base[r] + t) in run r
-    base = first - ends + length
+    # pair t, counted over all the runs, is (i, base[i] + t) in run i
+    base = m - ends
     for lo in range(0, int(ends[-1]), CHUNK):
         hi = min(lo + CHUNK, int(ends[-1]))
         r0, r1 = ends.searchsorted([lo, hi - 1], "right")
         count = length[r0:r1 + 1].copy()
         count[0] -= lo - ends[r0] + length[r0]
         count[-1] -= ends[r1] - hi
-        yield (np.repeat(i[r0:r1 + 1], count),
+        yield (np.repeat(np.arange(r0, r1 + 1), count),
                np.repeat(base[r0:r1 + 1], count) + np.arange(lo, hi))
 
 
@@ -173,16 +174,16 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
     (Koetter and Kschischang, IEEE Trans. IT 2008), that is equal
     canonical rows.  When ``CDC.repeats`` finds any, the distance is 0 and
     the witness the first equal pair in (i, j) order, with no rank
-    computed.  Otherwise one pass walks the pairs in (i, j) order, pair
-    (0, 1) alone first, and stops at distance 2, the least between
-    distinct members.  By Etzion and Silberstein (IEEE Trans. IT 2009,
-    Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), where v is the identifying
-    vector, the pivot columns of the canonical rows; a pair whose vectors
-    differ in at least the minimum so far is bounded, not ranked.  Such a
-    pair is never the first at the final minimum, so the witness is the
-    first pair at the minimum in (i, j) order, and no pair is ranked
-    twice.  ``pairs_checked`` counts every pair, ranked or bounded;
-    ``pairs_ranked`` the ranks computed.
+    computed.  Otherwise one pass walks the pairs in (i, j) order, CHUNK
+    at a time, ranks the first block whole and stops at distance 2, the
+    least between distinct members.  By Etzion and Silberstein (IEEE
+    Trans. IT 2009, Lemma 2) d_S(U, W) >= d_H(v(U), v(W)), where v is the
+    identifying vector, the pivot columns of the canonical rows; from the
+    second block on, a pair whose vectors differ in at least the minimum
+    so far is bounded, not ranked.  Such a pair is never the first at the
+    final minimum, so the witness is the first pair at the minimum in
+    (i, j) order, and no pair is ranked twice.  ``pairs_checked`` counts
+    every pair, ranked or bounded; ``pairs_ranked`` the ranks computed.
     """
     m = len(code)
     if m < 2:
@@ -201,14 +202,8 @@ def min_distance_exhaustive(code: CDC, pair_budget: int | None = None) -> Distan
         return DistanceReport(0, (int(earlier[t]), int(later[t])), pairs,
                               "exhaustive")
 
-    # member r against the members after it; pair (0, 1) goes first on
-    # its own, so that the bound prunes from the first block on
-    r = np.arange(m - 1)
-    first = np.maximum(r + 1, 2)
-    blocks = itertools.chain([(r[:1], r[:1] + 1)],
-                             _pair_blocks(r, first, m - first))
     best, witness, ranked = _scan(
-        code, blocks, floor=2,
+        code, _pair_blocks(m), floor=2,
         masks=pivot_masks(code.codes, code.q, code.ambient))
     return DistanceReport(best, witness, pairs, "exhaustive",
                           pairs_ranked=ranked)

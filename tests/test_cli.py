@@ -183,6 +183,20 @@ def test_construct_prints_the_round_breakdown(capsys, tmp_path, params):
                    f"{out_path}\n")
 
 
+def test_verify_without_a_construction_line_expects_the_stored_size(
+        capsys, tmp_path):
+    out_path = tmp_path / "code.txt"
+    run(capsys, "construct", "--q", "2", "--n", "2", "--k", "2",
+        "--d", "2", "--s", "1", "--out", str(out_path))
+    lines = out_path.read_text().splitlines()
+    lines = [l for l in lines if not l.startswith("construction=")]
+    out_path.write_text("\n".join(lines) + "\n")
+    assert read_code(out_path).params is None
+    rc, out, _ = run(capsys, "verify", "--in", str(out_path), "--d", "2")
+    assert rc == 0 and "result PASS" in out
+    assert "expected size     481\nstored size       481\n" in out
+
+
 def test_verify_overclaimed_distance_fails(capsys, tmp_path):
     out_path = tmp_path / "code.txt"
     run(capsys, "construct", "--q", "2", "--n", "2", "--k", "2",

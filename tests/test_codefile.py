@@ -149,6 +149,23 @@ def test_reader_rejects_header_damage(tmp_path):
         with pytest.raises(CodeFileError):
             read_code(path)
 
+    def construction(raw):
+        return lambda ls: ls.__setitem__(6, f"construction={raw}")
+
+    worded = [
+        (construction("lifted n=2 s=0"), "unknown construction"),
+        (construction("parallel n=two s=0"), "bad construction field 'n=two'"),
+        (construction("parallel n=2"), "construction needs n and s"),
+        (lambda ls: ls.__delitem__(slice(ls.index("--"), None)),
+         "missing -- separator"),
+        (lambda ls: ls.__setitem__(5, "members=-1"),
+         "implausible header: members=-1"),
+    ]
+    for idx, (mutate, message) in enumerate(worded):
+        path = corrupt(tmp_path, mutate, name=f"w{idx}.txt")
+        with pytest.raises(CodeFileError, match=message):
+            read_code(path)
+
 
 def test_reader_refuses_a_fifo(tmp_path):
     # a pipe has no size to check the body against; the reader must say so

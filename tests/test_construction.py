@@ -23,7 +23,11 @@ from subspace_codes.errors import (
     RankDeficiencyError,
 )
 from subspace_codes.fields import field_of, mat_rank, mat_sub, matrix, unpack_row
-from subspace_codes.gabidulin import BUDGET_ENV_VAR, gabidulin_enumerate, sq_filter
+from subspace_codes.gabidulin import (
+    BUDGET_ENV_VAR,
+    checked_sq_filter,
+    gabidulin_enumerate,
+)
 from subspace_codes.verify import min_distance_exhaustive, subspace_distance
 
 
@@ -146,7 +150,7 @@ def test_two_round_code_against_manual_lifts():
            for rows in code.codes.tolist()}
 
     full = gabidulin_enumerate(q, n, k, d // 2)
-    low = sq_filter(gabidulin_enumerate(q, n, k, d // 2), k - d // 2)
+    low = checked_sq_filter(full, k - d // 2)
     f = field_of(q)
 
     def word(rows):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subspace_codes.counting import delsarte_rank_distribution
+from subspace_codes.counting import delsarte_rank_distribution, truncated_rank_sum
 from subspace_codes.errors import (
     BudgetExceededError,
     InternalConsistencyError,
@@ -27,10 +27,8 @@ from subspace_codes.gabidulin import (
     RankCode,
     checked_sq_filter,
     empirical_rank_distribution,
-    expected_low_rank_count,
     gabidulin_enumerate,
     resolve_enum_budget,
-    sq_filter,
 )
 
 # shapes small enough to enumerate outright, covering square and wide
@@ -215,24 +213,25 @@ def test_sq_filter_counts():
     for q, n, k, delta in [(2, 3, 3, 2), (2, 4, 4, 2), (3, 3, 2, 2)]:
         code = gabidulin_enumerate(q, n, k, delta)
         for max_rank in range(delta, k + 1):
-            kept = sq_filter(code, max_rank)
-            assert len(kept) == expected_low_rank_count(code, max_rank)
+            kept = checked_sq_filter(code, max_rank)
+            assert len(kept) == truncated_rank_sum(q, n, k, delta, delta,
+                                                   max_rank)
             assert all(0 < r <= max_rank for r in ranks(kept))
 
 
 def test_sq_filter_edges():
     code = gabidulin_enumerate(2, 3, 3, 2)
-    assert len(sq_filter(code, 0)) == 0
+    assert len(checked_sq_filter(code, 0)) == 0
     with pytest.raises(InvalidParameterError):
-        sq_filter(code, 4)
+        checked_sq_filter(code, 4)
     with pytest.raises(InvalidParameterError):
-        sq_filter(code, -1)
+        checked_sq_filter(code, -1)
 
 
 def test_sq_filter_preserves_order():
     for q, n, k, delta in [(2, 4, 4, 2), (3, 3, 2, 2)]:
         code = gabidulin_enumerate(q, n, k, delta)
-        kept = sq_filter(code, k - 1)
+        kept = checked_sq_filter(code, k - 1)
         index = {tuple(w): t for t, w in enumerate(code.codewords.tolist())}
         positions = [index[tuple(w)] for w in kept.codewords.tolist()]
         assert positions == sorted(positions)
@@ -242,7 +241,7 @@ def test_sq_filter_preserves_order():
 def test_checked_sq_filter_rejects_partial_codes():
     code = gabidulin_enumerate(2, 3, 3, 2)
     once = checked_sq_filter(code, 2)
-    assert len(once) == expected_low_rank_count(code, 2)
+    assert len(once) == truncated_rank_sum(2, 3, 3, 2, 2, 2)
     with pytest.raises(InvalidParameterError):
         checked_sq_filter(once, 2)
 

@@ -182,6 +182,9 @@ def test_vacuous_reports():
     assert report.pairs_checked == 0
     sampled = min_distance_sampled(lonely, 100)
     assert sampled.vacuous
+    reconciled = reconcile(lonely, 1, 2)
+    assert reconciled.passed and reconciled.vacuous
+    assert reconciled.notes == ["fewer than two members, distance vacuously fine"]
 
 
 def test_lcg_constants_and_stream():
@@ -710,14 +713,14 @@ def test_pivot_masks_across_chunk_seams(q):
 
 def test_in_order_scan_ends_on_a_first_pair_at_distance_two():
     # members 0 and 2 lead at columns {0, 1}, member 1 at {0, 2}; (0, 1)
-    # and (0, 2) are both at distance 2.  The scan ranks (0, 1) first, in
-    # a different class, and distance 2 is the least between distinct
-    # members, so it ranks nothing after it
+    # and (0, 2) are both at distance 2.  The three pairs make one block,
+    # which the scan ranks whole, and the first of them in (i, j) order,
+    # (0, 1), is the witness
     code = CDC(2, 4, 2, 2, [(0b0001, 0b0010), (0b0001, 0b0100),
                             (0b0001, 0b1010)])
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == scalar_exhaustive(code) == (2, (0, 1), 3)
-    assert report.pairs_ranked == 1
+    assert report.pairs_ranked == 3
 
 
 def test_witness_pass_walks_past_the_first_block():
@@ -744,40 +747,31 @@ def test_witness_pass_walks_past_the_first_block():
     assert i * (2 * 65 - i - 1) // 2 + j - i - 1 > CHUNK
 
 
-@st.composite
-def pair_runs(draw):
-    """Runs (i, first, length) over a few members, with zero-length runs
-    first, in the middle and last."""
-    size = draw(st.integers(1, 64))
-    runs = []
-    for _ in range(draw(st.integers(0, 80))):
-        first = draw(st.integers(0, size))
-        runs.append((draw(st.integers(0, 999)), first,
-                     draw(st.integers(0, size - first))))
-    runs.insert(draw(st.integers(0, len(runs))), (7, 0, 0))
-    return [(3, size, 0)] + runs + [(5, 1, 0)]
-
-
-def seam_runs(size, count, empty_at):
-    # count full runs over size members, an empty run at empty_at
-    runs = [(t, 0, size) for t in range(count)]
-    runs.insert(empty_at, (9, size, 0))
-    return [(1, 0, 0)] + runs + [(2, size, 0)]
-
-
-@given(pair_runs())
-@example(seam_runs(50, 100, 41))  # seams fall inside runs
-@example(seam_runs(64, 70, 32))  # an empty run on the seam at CHUNK
-@example([(0, 2, 0), (1, 0, 0)])  # no pairs at all
+@given(st.integers(2, 300))
+@example(2)
+@example(3)
+@example(64)  # 2016 pairs, just below the seam at CHUNK
+@example(65)  # 2080 pairs, just above it
+@example(4096)  # 4095 * CHUNK pairs, on a seam
 @settings(max_examples=60, deadline=None)
-def test_pair_blocks_cut_the_runs_in_order(runs):
-    i, first, length = (np.array(column, dtype=np.int64) for column in zip(*runs))
-    blocks = list(_pair_blocks(i, first, length))
-    want = [(a, f + t) for a, f, n in runs for t in range(n)]
-    assert [(int(a), int(b)) for x, y in blocks
-            for a, b in zip(x, y)] == want
+def test_pair_blocks_cut_the_runs_in_order(m):
+    # every pair i < j once, in (i, j) order: (0, 1) first, then each pair
+    # steps to (i, j + 1), or to (i + 1, i + 2) at the end of a run
+    blocks = list(_pair_blocks(m))
+    last = (0, 0)
+    for x, y in blocks:
+        i = np.concatenate([[last[0]], x])
+        j = np.concatenate([[last[1]], y])
+        end = j[:-1] == m - 1
+        assert (i[1:] == np.where(end, i[:-1] + 1, i[:-1])).all()
+        assert (j[1:] == np.where(end, i[:-1] + 2, j[:-1] + 1)).all()
+        last = (int(x[-1]), int(y[-1]))
+    assert (int(blocks[0][0][0]), int(blocks[0][1][0])) == (0, 1)
+    assert last == (m - 2, m - 1)
+    pairs = m * (m - 1) // 2
+    assert sum(len(x) for x, _ in blocks) == pairs
     assert all(1 <= len(x) == len(y) <= CHUNK for x, y in blocks)
-    assert len(blocks) == -(-len(want) // CHUNK)
+    assert len(blocks) == -(-pairs // CHUNK)
 
 
 def test_one_class_code_ranks_every_pair():
@@ -825,8 +819,9 @@ def test_repeats_are_reported_with_no_pivot_mask_and_no_rank(monkeypatch):
 
 
 def test_distance_two_codes_stop_at_the_first_block():
-    # distinct members are at least 2 apart: the scan ranks pair (0, 1),
-    # then ends on the first block that holds a distance-2 pair
+    # distinct members are at least 2 apart: the scan ranks the first
+    # block whole and ends on it, or on the first later block that holds
+    # a distance-2 pair
     code = assemble_parallel(2, 3, 3, 2, 0)
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == (2, (0, 73), 365085)
@@ -839,19 +834,25 @@ def test_distance_two_codes_stop_at_the_first_block():
 
 def unpruned_exhaustive(code):
     """Minimum distance, first pair at it in (i, j) order, and pair count,
-    off one join_ranks over every pair."""
-    i, j = np.triu_indices(len(code), 1)
-    added = join_ranks(code.codes[i], code.codes[j], code.q, code.ambient)
-    t = int(added.argmin())
-    return 2 * int(added[t]), (int(i[t]), int(j[t])), len(i)
+    off one join_ranks of each member against every member after it."""
+    m = len(code)
+    best = None
+    for i in range(m - 1):
+        added = join_ranks(np.repeat(code.codes[i:i + 1], m - 1 - i, axis=0),
+                           code.codes[i + 1:], code.q, code.ambient)
+        t = int(added.argmin())
+        if best is None or 2 * int(added[t]) < best[0]:
+            best = 2 * int(added[t]), (i, i + 1 + t)
+    return *best, m * (m - 1) // 2
 
 
 @pytest.mark.parametrize("params, picks", [((2, 4, 4, 4, 0), (200, 100)),
                                            ((3, 2, 2, 2, 0), (81, 32))])
 def test_running_minimum_prunes_like_an_unpruned_scan(params, picks):
     # members drawn from both rounds, in a shuffled order: in some draws
-    # pair (0, 1), ranked alone first, is farther apart than the minimum,
-    # so the minimum turns up in a later block, under a looser bound
+    # pair (0, 1) is farther apart than the minimum, so the minimum turns
+    # up later in the first block, ranked whole, or in a later block,
+    # under the bound of the minimum before it
     full = assemble_parallel(*params)
     rounds = np.split(np.arange(len(full)), np.cumsum(full.round_sizes[:-1]))
     farther = 0
@@ -872,18 +873,36 @@ def test_running_minimum_prunes_like_an_unpruned_scan(params, picks):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_every_member_its_own_class(q):
-    # one member on each of the 10 pivot sets of 2 in 5 columns
-    width, k = 5, 2
+    # one member on each of the 66 pivot sets of 2 in 12 columns: no pair
+    # shares a class, and the 2145 pairs fill a second block
+    width, k = 12, 2
     members = [canonical_rows(q, width, pivots, 7 * t + 3)
                for t, pivots in enumerate(
                    itertools.combinations(range(width), k))]
     code = CDC(q, width, k, 2, members)
-    assert len(set(pivot_masks(code.codes, q, width).tolist())) == 10
+    assert len(set(pivot_masks(code.codes, q, width).tolist())) == 66
     report = min_distance_exhaustive(code)
     assert as_tuple(report) == scalar_exhaustive(code)
-    # no pair shares a class, and pairs 4 or more bits apart are bounded
+    assert report.pairs_checked == 2145 > CHUNK
+    # the first block, ranked whole, holds a pair at distance 2, the least
+    # between distinct members, so the second is never ranked
     assert report.distance == 2
     assert report.pairs_ranked < report.pairs_checked
+
+
+def test_a_block_of_bounded_pairs_is_skipped():
+    # [e0, e1] and [e0 + e2, e1 + e3], then 4096 members with pivots 6 and
+    # 7 and their free digits in columns 8 to 13.  Each pair of the first
+    # two with a later member is d_S = d_H = 4 apart, so once the first
+    # block has found 4, the second and third blocks are bounded whole;
+    # the later members are 2 apart among themselves
+    later = [(1 << 6 | a << 8, 1 << 7 | b << 8)
+             for a in range(64) for b in range(64)]
+    code = CDC(2, 14, 2, 2, [(0b1, 0b10), (0b101, 0b1010), *later])
+    report = min_distance_exhaustive(code)
+    assert as_tuple(report) == unpruned_exhaustive(code)
+    assert as_tuple(report) == (2, (2, 3), 4098 * 4097 // 2)
+    assert report.pairs_ranked <= 2 * CHUNK
 
 
 def test_exhaustive_memory_does_not_grow_with_a_class():
