@@ -11,6 +11,16 @@ k x n codeword.  Pivot columns separate members of different rounds, and
 the rank limit k - d/2 keeps cross-round subspace distances at d; within a
 round the lifted rank distance does the same.
 
+A round is emitted as broadcast sums of packed slot words.  Round 0 is
+canonical as summed.  Every other member [left | I | right] is reduced to
+canonical rows.  It has rank k inside its prefix [left | I], so its
+canonical rows are T * member for an invertible T fixed by the prefix
+alone, acting on each right slot apart.  Rounds 1 .. s - 1, with slots left
+of the identity and at least two right of it, use that: each prefix is
+reduced once, and each prefix with one word of one right slot once.
+Round s and the last round, with at most one slot right of the identity,
+are reduced in place, member by member.
+
 A code is stored as one (M, k) numpy uint64 array: member i is the k
 canonical generator rows codes[i, 0], ..., codes[i, k - 1], each row packed
 as the integer sum(entry_c * q**c).  That holds for every q while
@@ -19,6 +29,7 @@ q**N <= 2**64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,24 +248,50 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     rounds.append(([(sq_kk.codewords, p * k) for p in range(s)]
                    + [(sq_nk.codewords, s * k)], s * k + n))
 
+    def reduced(stacks):
+        # each stack of k rows to its canonical rows, in place
+        if (rref_rows(stacks.reshape(-1, k), q, ambient) != k).any():
+            raise InternalConsistencyError("round member lost rank")
+        return stacks
+
     # identity at pivot_offset plus one word per slot: slots occupy disjoint
-    # digit ranges, so member rows are sums of packed parts; with the
-    # identity left of every slot the sum is already canonical.  The last
-    # sum is written straight into the round's slice of codes
+    # digit ranges, so member rows are sums of packed parts, built as
+    # (P, A, k) arrays.  A split round reduces its P prefixes (the heads)
+    # and, per right slot, each prefix with each word; less the head, that
+    # is T * w, and a member is its head plus one T * w per right slot,
+    # summed leftmost slot slowest.  Any other round after round 0 is
+    # reduced in place.  The last sum is written straight into the round's
+    # slice of codes
     written = 0
     for (sources, pivot_offset), size in zip(rounds, per_round, strict=True):
-        acc = np.asarray([[q ** (pivot_offset + i) for i in range(k)]],
+        acc = np.asarray([[[q ** (pivot_offset + i) for i in range(k)]]],
                          dtype=np.uint64)
-        parts = [words * np.uint64(q ** offset) for words, offset in sources]
-        for part in parts[:-1]:
-            acc = (acc[:, None, :] + part[None, :, :]).reshape(-1, k)
-        if len(acc) * len(parts[-1]) != size:
+        parts = [words[None] * np.uint64(q ** offset) for words, offset in sources]
+        members = math.prod(part.shape[1] for part in parts)
+        if members != size:
             raise InternalConsistencyError(
-                f"round of {len(acc) * len(parts[-1])} members, predicted {size}")
+                f"round of {members} members, predicted {size}")
+        left = sum(offset < pivot_offset for _, offset in sources)
+        split = 0 < left < len(parts) - 1
+        if split:
+            for part in parts[:left]:
+                acc = _outer(acc, part)
+            prefixes = acc.reshape(-1, 1, k)
+            acc = reduced(prefixes.copy())
+            parts = [reduced(_outer(prefixes, part)) - acc
+                     for part in parts[left:]]
+        for part in parts[:-1]:
+            acc = _outer(acc, part)
         out = codes[written:written + size]
-        np.add(acc[:, None, :], parts[-1][None, :, :],
-               out=out.reshape(len(acc), len(parts[-1]), k))
-        if pivot_offset and (rref_rows(out, q, ambient) != k).any():
-            raise InternalConsistencyError("round member lost rank")
+        np.add(acc[:, :, None], parts[-1][:, None],
+               out=out.reshape(*acc.shape[:2], parts[-1].shape[1], k))
+        if pivot_offset and not split:
+            reduced(out)
         written += size
     return CDC(q, ambient, k, d, codes, params=params)
+
+
+def _outer(acc, part):
+    # every sum of a stack of acc and a word of part, leftmost slowest: a
+    # (P, A, k) and a (P or 1, W, k) array give (P, A * W, k)
+    return (acc[:, :, None] + part[:, None]).reshape(len(acc), -1, acc.shape[2])

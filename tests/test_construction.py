@@ -1,7 +1,9 @@
 """Lifting, canonical forms, and assembly of the parallel construction."""
 
 import dataclasses
+import hashlib
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -104,6 +106,8 @@ def test_canonicalize_idempotent_and_basis_free():
 SIZES = [
     (2, 2, 2, 2, 0, 25),
     (2, 2, 2, 2, 1, 481),
+    (2, 2, 2, 2, 2, 8425),
+    (2, 2, 2, 2, 3, 141361),
     (2, 3, 2, 2, 0, 85),
     (2, 3, 2, 2, 1, 1789),
     (2, 3, 3, 2, 0, 855),
@@ -207,9 +211,20 @@ def test_assembly_budget_guard(monkeypatch):
     assert len(code) == 481
 
 
+def counting_rref_rows(monkeypatch):
+    """Wrap construction.rref_rows; the list holds the stack count of each
+    call, in call order."""
+    real, calls = construction.rref_rows, []
+
+    def counted(rows, q, width):
+        calls.append(len(rows))
+        return real(rows, q, width)
+
+    monkeypatch.setattr(construction, "rref_rows", counted)
+    return calls
+
+
 def test_round_of_the_wrong_size_is_refused_before_it_is_written(monkeypatch):
-    # one kept word short: round 1 of (2,2,2,2,1) has 8 * 16 members, not
-    # the 9 * 16 that block_cardinalities predicts
     real = construction.checked_sq_filter
 
     def short(code, max_rank):
@@ -217,9 +232,122 @@ def test_round_of_the_wrong_size_is_refused_before_it_is_written(monkeypatch):
         return dataclasses.replace(kept, codewords=kept.codewords[:-1])
 
     monkeypatch.setattr(construction, "checked_sq_filter", short)
-    with pytest.raises(InternalConsistencyError,
-                       match="round of 128 members, predicted 144"):
-        assemble_parallel(2, 2, 2, 2, 1)
+    calls = counting_rref_rows(monkeypatch)
+    # one kept word short: round 1 of (2,2,2,2,1) has 8 * 16 members, not
+    # the 9 * 16 that block_cardinalities predicts; round 1 of (2,2,2,2,2),
+    # reduced by prefix, has 8 * 16 * 16, not 9 * 16 * 16
+    for params, got, size in [((2, 2, 2, 2, 1), 128, 144),
+                              ((2, 2, 2, 2, 2), 2048, 2304)]:
+        with pytest.raises(InternalConsistencyError,
+                           match=f"round of {got} members, predicted {size}"):
+            assemble_parallel(*params)
+    # round 0 needs no reduction, and round 1 is refused before any
+    assert calls == []
+
+
+@pytest.mark.parametrize("params, nth", [
+    ((2, 2, 2, 2, 2), 0),  # the heads of round 1, reduced by prefix
+    ((2, 2, 2, 2, 2), 2),  # round 1's prefixes with a word of the wide slot
+    ((2, 2, 2, 2, 2), 3),  # round 2, reduced in place
+    ((2, 2, 2, 2, 1), 0),  # round 1, reduced in place
+])
+def test_a_member_that_loses_rank_is_refused(monkeypatch, params, nth):
+    real, calls = construction.rref_rows, []
+
+    def losing(rows, q, width):
+        ranks = real(rows, q, width)
+        if len(calls) == nth:
+            ranks[len(ranks) // 2] -= 1
+        calls.append(len(rows))
+        return ranks
+
+    monkeypatch.setattr(construction, "rref_rows", losing)
+    with pytest.raises(InternalConsistencyError, match="round member lost rank"):
+        assemble_parallel(*params)
+    assert len(calls) == nth + 1
+
+
+@pytest.mark.parametrize("params, stacks", [
+    # rounds 1 .. s - 1 reduce each prefix once, then each prefix with one
+    # word of each right slot: (2,2,2,2,2) reduces 9 + 9 * 32 stacks for
+    # round 1 where every member, 2,304, was reduced before, then 1,296
+    # and 729 in place (4,329 before); (2,2,2,2,3) 21,339 (75,825 before)
+    ((2, 2, 2, 2, 2), 2322),
+    ((2, 2, 2, 2, 3), 21339),
+    # no round has a slot left of the identity and two right of it
+    ((2, 2, 2, 2, 1), 225),
+    ((2, 3, 3, 2, 0), 343),
+])
+def test_stacks_reduced_per_build(monkeypatch, params, stacks):
+    calls = counting_rref_rows(monkeypatch)
+    code = assemble_parallel(*params)
+    assert sum(calls) == stacks
+    assert len(code) == sum(block_cardinalities(*params))
+
+
+def slot_layouts(q, n, k, d, s):
+    """Each round's identity column and its slots, as (column, words), in
+    column order, read off the module docstring."""
+    delta = d // 2
+    full_kk = gabidulin_enumerate(q, k, k, delta)
+    sq_kk = checked_sq_filter(full_kk, k - delta)
+    full_nk = gabidulin_enumerate(q, n, k, delta)
+    sq_nk = checked_sq_filter(full_nk, k - delta)
+    layouts = []
+    for b in range(s + 1):
+        slots = [(p * k, sq_kk if p < b else full_kk)
+                 for p in range(s + 1) if p != b]
+        layouts.append((b * k, slots + [((s + 1) * k, full_nk)]))
+    slots = [(p * k, sq_kk) for p in range(s)] + [(s * k, sq_nk)]
+    layouts.append((s * k + n, slots))
+    return layouts
+
+
+def unreduced_member(q, ambient, k, pivot, slots, index):
+    """[... | I | ...] with word index[t] of slot t, as a scalar matrix."""
+    rows = [[0] * ambient for _ in range(k)]
+    for r in range(k):
+        rows[r][pivot + r] = 1
+    for (column, words), w in zip(slots, index, strict=True):
+        for r, packed in enumerate(words.codewords[w].tolist()):
+            digits = unpack_row(packed, q, words.n)
+            rows[r][column:column + words.n] = digits
+    return matrix(field_of(q), rows)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2, 2, 2), (3, 2, 2, 2, 2)])
+def test_members_match_scalar_canonical_form(params):
+    """First, last and 40 seeded members of every round against the scalar
+    canonical form of the member built from its slot words."""
+    q, n, k, d, s = params
+    code = assemble_parallel(*params)
+    rng = random.Random(2)
+    start = 0
+    for (pivot, slots), size in zip(slot_layouts(*params), code.round_sizes,
+                                    strict=True):
+        shape = tuple(len(words.codewords) for _, words in slots)
+        assert np.prod(shape) == size
+        for t in [0, size - 1] + rng.sample(range(size), 40):
+            index = np.unravel_index(t, shape)  # leftmost slot slowest
+            want = canonicalize(unreduced_member(q, code.ambient, k, pivot,
+                                                 slots, index))
+            assert tuple(code.codes[start + t].tolist()) == want.rows
+        start += size
+    assert start == len(code)
+
+
+@pytest.mark.parametrize("params, digest", [
+    ((2, 2, 2, 2, 2),
+     "68d7a8ef750156beb511f1d574e774d0062252cd6af462d7947c706680c7b083"),
+    ((3, 2, 2, 2, 2),
+     "b959e6f82bb90b1b117f50252c5db7bdb2afae7ae5737fb9115490750e1c1d01"),
+    ((2, 3, 2, 2, 3),
+     "18bff679be219b6ea6cb8073610957efc5857d5cbdb44e4efd8541920c869030"),
+])
+def test_prefix_reduced_codes_keep_their_bytes(params, digest):
+    # digests of the codes as every round was reduced member by member
+    code = assemble_parallel(*params)
+    assert hashlib.sha256(code.codes.tobytes()).hexdigest() == digest
 
 
 def test_assembly_parameter_validation():
