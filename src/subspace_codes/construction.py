@@ -255,11 +255,11 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
         return stacks
 
     # identity at pivot_offset plus one word per slot: slots occupy disjoint
-    # digit ranges, so member rows are sums of packed parts, built as
-    # (P, A, k) arrays.  A split round reduces its P prefixes (the heads)
-    # and, per right slot, each prefix with each word; less the head, that
-    # is T * w, and a member is its head plus one T * w per right slot,
-    # summed leftmost slot slowest.  Any other round after round 0 is
+    # digit ranges, so member rows are sums of packed parts, held as
+    # (P, A, k) arrays with P = 1 outside a split round.  A split round
+    # (see the module docstring) sums its P reduced prefixes, the heads,
+    # with one T * w per right slot: a reduced prefix-and-word stack less
+    # its head, digit-disjoint from it.  Any other round after round 0 is
     # reduced in place.  The last sum is written straight into the round's
     # slice of codes
     written = 0

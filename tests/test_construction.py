@@ -270,8 +270,7 @@ def test_a_member_that_loses_rank_is_refused(monkeypatch, params, nth):
 @pytest.mark.parametrize("params, stacks", [
     # rounds 1 .. s - 1 reduce each prefix once, then each prefix with one
     # word of each right slot: (2,2,2,2,2) reduces 9 + 9 * 32 stacks for
-    # round 1 where every member, 2,304, was reduced before, then 1,296
-    # and 729 in place (4,329 before); (2,2,2,2,3) 21,339 (75,825 before)
+    # its 2,304 round-1 members, then 1,296 and 729 in place
     ((2, 2, 2, 2, 2), 2322),
     ((2, 2, 2, 2, 3), 21339),
     # no round has a slot left of the identity and two right of it
@@ -280,9 +279,8 @@ def test_a_member_that_loses_rank_is_refused(monkeypatch, params, nth):
 ])
 def test_stacks_reduced_per_build(monkeypatch, params, stacks):
     calls = counting_rref_rows(monkeypatch)
-    code = assemble_parallel(*params)
+    assemble_parallel(*params)
     assert sum(calls) == stacks
-    assert len(code) == sum(block_cardinalities(*params))
 
 
 def slot_layouts(q, n, k, d, s):
