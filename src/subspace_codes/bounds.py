@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .counting import gaussian_binomial, truncated_rank_sum
+from .counting import _factor_prime_power, gaussian_binomial, truncated_rank_sum
 from .errors import InternalConsistencyError, InvalidParameterError
-from .fields import _factor_prime_power
 
 REFERENCE_DATA = "data/reference_bounds.txt"
 

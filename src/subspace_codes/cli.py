@@ -12,6 +12,10 @@ bound with --s rounds, ``johnson1`` the anticode-ratio upper bound and
 A run whose first argument names a subcommand builds only that parser, since
 building all five is most of a short run's own time; any other argument list
 gets the full parser, so help and error messages read the same either way.
+
+``read_code``, ``write_code``, ``assemble_parallel`` and ``reconcile`` load
+on first look-up, so that ``bound``, ``dist`` and ``table`` start without
+importing numpy.
 """
 
 from __future__ import annotations
@@ -27,14 +31,31 @@ from .bounds import (
     reproduce_reference_table,
     two_block_lower_bound,
 )
-from .codefile import read_code, write_code
-from .construction import assemble_parallel
 from .counting import delsarte_rank_distribution
 from .errors import InvalidParameterError
-from .verify import reconcile
 
 FORMATS = ("human", "csv", "json")
 _COMMANDS = ("bound", "dist", "table", "construct", "verify")
+_ARRAY_NAMES = ("read_code", "write_code", "assemble_parallel", "reconcile")
+# the handlers read the array layer's names here, where callers replace them
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Bind the array layer's names on the first look-up of any one of them.
+
+    The three modules load together, so a later step never pays for one's
+    compile, and a name that a caller has already set is kept.
+    """
+    if name not in _ARRAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .codefile import read_code, write_code
+    from .construction import assemble_parallel
+    from .verify import reconcile
+    loaded = locals()
+    for key in _ARRAY_NAMES:
+        globals().setdefault(key, loaded[key])
+    return globals()[name]
 
 
 def _require(cond: bool, message: str):
@@ -124,8 +145,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    code = assemble_parallel(args.q, args.n, args.k, args.d, args.s)
-    write_code(code, args.out)
+    code = _module.assemble_parallel(args.q, args.n, args.k, args.d, args.s)
+    _module.write_code(code, args.out)
     breakdown = "+".join(map(str, code.round_sizes))
     print(f"wrote {len(code)} members ({breakdown}) of a (q={code.q}, "
           f"N={code.ambient}, d={code.d}, k={code.k}) code to {args.out}")
@@ -133,15 +154,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code = read_code(args.infile)
+    code = _module.read_code(args.infile)
     if code.params is not None:
         expected = parallel_lower_bound(code.params.q, code.params.n,
                                         code.params.k, code.params.d,
                                         code.params.s).value
     else:
         expected = len(code)
-    report = reconcile(code, expected, args.d, mode=args.mode,
-                       samples=args.samples, seed=args.seed)
+    report = _module.reconcile(code, expected, args.d, mode=args.mode,
+                               samples=args.samples, seed=args.seed)
     print(f"expected size     {report.expected_size}")
     print(f"stored size       {report.stored_size}")
     print(f"distinct size     {report.distinct_size}")

@@ -11,7 +11,21 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, InvalidParameterError
-from .fields import _factor_prime_power
+
+
+def _factor_prime_power(q: int):
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+        p += 1
+    return (q, 1)  # q itself is prime
 
 
 def _check_q(q: int):

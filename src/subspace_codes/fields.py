@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .counting import _factor_prime_power
 from .errors import (
     IncompatibleFieldError,
     InternalConsistencyError,
@@ -138,21 +139,6 @@ class Field:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def _factor_prime_power(q: int):
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-        p += 1
-    return (q, 1)  # q itself is prime
 
 
 @lru_cache(maxsize=None)

@@ -328,13 +328,23 @@ def test_construct_respects_budget_env(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "x.txt").exists()
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "subspace_codes", "bound", "thm2",
-         "--q", "2", "--n", "2", "--k", "2", "--d", "2"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "25"
+def test_module_entry_point(tmp_path):
+    # run as __main__, cli must find its lazily bound names on that module
+    for module in ("subspace_codes", "subspace_codes.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "bound", "thm2",
+             "--q", "2", "--n", "2", "--k", "2", "--d", "2"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "25"
+        out = tmp_path / f"{module}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "construct", "--q", "2", "--n", "2",
+             "--k", "2", "--d", "2", "--s", "1", "--out", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("wrote 481 members (256+144+81)")
+        assert len(read_code(out)) == 481
 
 
 def test_import_fills_no_cache():
@@ -350,6 +360,76 @@ def test_import_fills_no_cache():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0]"
+
+
+def test_integer_commands_start_without_numpy(tmp_path):
+    # only the array layer loads numpy: the package, the integer layer, the
+    # CLI module and its bound, dist and table commands start without it
+    path = str(tmp_path / "c.txt")
+    probe = f"""
+import contextlib, io, sys
+
+def free(step):
+    assert "numpy" not in sys.modules, step
+
+import subspace_codes
+free("import subspace_codes")
+import subspace_codes.bounds, subspace_codes.counting, subspace_codes.errors
+import subspace_codes.cli as cli
+free("import of bounds, counting, errors and cli")
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["bound", "thm3", "--q", "2", "--n", "5", "--k", "5",
+                  "--d", "4", "--s", "1"],
+                 ["dist", "--q", "2", "--m", "4", "--nmin", "3", "--d", "2"],
+                 ["table", "reproduce"]):
+        assert cli.main(argv) == 0, argv
+        free(" ".join(argv[:2]))
+    assert cli.main(["construct", "--q", "2", "--n", "2", "--k", "2",
+                     "--d", "2", "--s", "0", "--out", {path!r}]) == 0
+print("numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"  # construct does load it
+
+
+def test_replaced_names_survive_the_lazy_load(tmp_path):
+    # callers, perfbench's child among them, replace cli's array-layer names
+    # before any of them has been looked up; the lazy load must keep theirs
+    path = str(tmp_path / "c.txt")
+    probe = f"""
+import contextlib, io
+from subspace_codes import cli, codefile, construction, verify
+
+calls = []
+
+def counting(name, inner):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+    return wrapper
+
+cli.reconcile = counting("reconcile", verify.reconcile)
+cli.write_code = counting("write_code", codefile.write_code)
+path = {path!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["construct", "--q", "2", "--n", "2", "--k", "2",
+                     "--d", "2", "--s", "1", "--out", path]) == 0
+    assert cli.main(["verify", "--in", path, "--d", "2"]) == 0
+assert calls == ["write_code", "reconcile"], calls
+assert cli.read_code is codefile.read_code
+assert cli.assemble_parallel is construction.assemble_parallel
+assert cli.reconcile.__name__ == cli.write_code.__name__ == "wrapper"
+"""
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_cli_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="subspace_codes.cli"):
+        cli.no_such_name
 
 
 @pytest.mark.parametrize("exc", [InternalConsistencyError("round member lost rank"),
