@@ -167,8 +167,8 @@ def cmd_verify(args) -> int:
     print(f"stored size       {report.stored_size}")
     print(f"distinct size     {report.distinct_size}")
     print(f"claimed distance  {report.claimed_distance}")
-    print(f"observed distance {report.observed_distance} "
-          f"({report.distance_mode}, {report.pairs_checked} pairs)")
+    print(f"observed distance {report.distance} "
+          f"({report.mode}, {report.pairs_checked} pairs)")
     print(f"ranked pairs      {report.pairs_ranked}")
     for note in report.notes:
         print(f"note: {note}")

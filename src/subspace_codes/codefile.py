@@ -20,9 +20,9 @@ Lines starting with ``#`` before the ``--`` separator are comments.
 After the separator come exactly ``members`` lines of
 k * (ambient + 1) bytes: k groups of ``ambient`` base-q digit characters
 joined by ``|`` and ended by ``\n``, row 0 first, column 0 as the leftmost
-digit of a group.  The writer puts each digit group's characters into
-place with one lookup in ``_chars``; ``_byte_check`` writes the whole line
-layout down for the reader's byte check.
+digit of a group.  ``_lines`` is the one builder of member lines, one
+lookup in ``_chars`` per digit group: the writer writes its lines, and the
+reader's byte check is its lines of the all-zero and all-(q - 1) members.
 
 Rows are stored in canonical (reduced echelon) form and that is part of
 the format: the reader rejects non-canonical rows the same way it rejects
@@ -54,29 +54,23 @@ MAGIC = "subspace-code"
 VERSION = 1
 
 
-def _byte_check(q: int, ambient: int, k: int):
-    """The (offset, span) rows of a member line's k * (ambient + 1) bytes.
-
-    ``offset`` is the line of an all-zero member: "0" at every digit, "|"
-    after each row and "\\n" after the last.  A line is ``offset`` plus its
-    digits, so a line minus ``offset`` (uint8, so bytes below it wrap high)
-    is well formed exactly when no byte of that difference exceeds
-    ``span``: q - 1 at a digit, 0 at a separator.
-    """
-    offset = np.full((k, ambient + 1), ord("0"), dtype=np.uint8)
-    offset[:, ambient] = ord("|")
-    offset[-1, ambient] = ord("\n")
-    span = np.full((k, ambient + 1), q - 1, dtype=np.uint8)
-    span[:, ambient] = 0
-    return offset, span
-
-
 @lru_cache(maxsize=None)
 def _chars(q: int, g: int, end: bool):
     """The characters of every g-digit group, "|" after a group that ends a row."""
     chars = np.full((q ** g, g + end), ord("|"), dtype=np.uint8)
     chars[:, :g] = _digit_table(q, g) + np.uint8(ord("0"))
     return chars
+
+
+def _lines(rows, q: int, ambient: int):
+    """The (B, k, ambient + 1) member-line bytes of (B, k) packed rows."""
+    # one lookup per digit group gives that group's characters of every
+    # row; a row that fits one group is a finished line block
+    groups = [_chars(q, g, c + g == ambient).take(group, axis=0)
+              for c, g, group in _groups(rows, q, ambient)]
+    block = groups[0] if len(groups) == 1 else np.concatenate(groups, -1)
+    block[:, -1, -1] = ord("\n")
+    return block
 
 
 def write_code(code: CDC, path) -> None:
@@ -101,14 +95,7 @@ def write_code(code: CDC, path) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         for lo in range(0, len(code), CHUNK):
-            # one lookup per digit group gives that group's characters of
-            # every row; a row that fits one group is a finished line block
-            groups = [_chars(q, g, c + g == ambient).take(group, axis=0)
-                      for c, g, group in _groups(code.codes[lo:lo + CHUNK],
-                                                 q, ambient)]
-            block = groups[0] if len(groups) == 1 else np.concatenate(groups, -1)
-            block[:, -1, -1] = ord("\n")
-            fh.write(block)
+            fh.write(_lines(code.codes[lo:lo + CHUNK], q, ambient))
 
 
 def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
@@ -142,10 +129,14 @@ def read_code(path) -> CDC:
     separators, rows not in canonical form) raise CodeFileError.
     Mathematical problems (duplicates, wrong distance) are the verifier's
     business and pass through silently here.  The body is decoded CHUNK
-    lines at a time: one byte check against ``_byte_check``'s rows, then
-    the digits go straight into the kernels' row form (``_held``; at
-    q = 2 their bits are the packed rows), ``_masks`` is 0 for a member
-    whose rows are not canonical, and ``_decode`` gives the packed rows.
+    lines at a time.  Each block gets one byte check: ``offset`` is
+    ``_lines`` of the all-zero member and ``span`` that of the all-(q - 1)
+    member less ``offset`` (q - 1 at a digit, 0 at a separator), so a
+    block less ``offset`` (uint8, so bytes below it wrap high) is well
+    formed exactly when no byte exceeds ``span``.  Then the digits go
+    straight into the kernels' row form (``_held``; at q = 2 their bits
+    are the packed rows), ``_masks`` is 0 for a member whose rows are not
+    canonical, and ``_decode`` gives the packed rows.
     """
     with open(path, "rb") as fh:
         # the body size check needs a file size, which a pipe does not have
@@ -208,8 +199,10 @@ def read_code(path) -> CDC:
                 f"header declares {members} members of {line_len} bytes "
                 f"each, body has {body} bytes")
         codes = np.empty((members, k), dtype=np.uint64)
+        zero, full = _lines(np.array([[0] * k, [q ** ambient - 1] * k],
+                                     dtype=np.uint64), q, ambient)
         offset, span = (np.tile(row, (min(CHUNK, members), 1, 1))
-                        for row in _byte_check(q, ambient, k))
+                        for row in (zero, full - zero))
         for lo in range(0, members, CHUNK):
             count = min(CHUNK, members - lo)
             block = np.frombuffer(fh.read(count * line_len),

@@ -251,20 +251,15 @@ def min_distance_sampled(code: CDC, samples: int, seed: int = 0) -> DistanceRepo
                           pairs_ranked=ranked)
 
 
-@dataclass
-class VerificationReport:
-    """Side-by-side record of predicted versus measured code parameters."""
+@dataclass(kw_only=True)
+class VerificationReport(DistanceReport):
+    """Side-by-side record of predicted versus measured code parameters:
+    the scan's DistanceReport, as it came, plus the sizes and the claim."""
 
     expected_size: int
     stored_size: int
     distinct_size: int
     claimed_distance: int
-    observed_distance: int
-    distance_mode: str
-    pairs_checked: int
-    pairs_ranked: int
-    witness: tuple | None
-    vacuous: bool
     passed: bool
     runtime_seconds: float
     notes: list = field(default_factory=list)
@@ -275,8 +270,8 @@ class VerificationReport:
             "stored_size": str(self.stored_size),
             "distinct_size": str(self.distinct_size),
             "claimed_distance": self.claimed_distance,
-            "observed_distance": self.observed_distance,
-            "distance_mode": self.distance_mode,
+            "observed_distance": self.distance,
+            "distance_mode": self.mode,
             "pairs_checked": self.pairs_checked,
             "pairs_ranked": self.pairs_ranked,
             "witness": list(self.witness) if self.witness else None,
@@ -295,7 +290,8 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
     Passes when the members are pairwise distinct, their number equals
     ``expected_size``, and the measured minimum distance over the checked
     pairs is at least ``claimed_distance``.  A sampled distance can only
-    refute the claim, never fully confirm it; the report says which mode
+    refute a claim above 2; distinct members alone prove a claim of 2, the
+    least distance between distinct subspaces.  The report says which mode
     produced the number.  A claim that is not even and at least 2, an
     unknown mode and, in sampled mode, fewer than 1 sample each raise
     InvalidParameterError before anything is measured.
@@ -328,16 +324,11 @@ def reconcile(code: CDC, expected_size: int, claimed_distance: int,
     passed = (distinct == stored == expected_size
               and (report.vacuous or report.distance >= claimed_distance))
     return VerificationReport(
+        **vars(report),
         expected_size=expected_size,
         stored_size=stored,
         distinct_size=distinct,
         claimed_distance=claimed_distance,
-        observed_distance=report.distance,
-        distance_mode=report.mode,
-        pairs_checked=report.pairs_checked,
-        pairs_ranked=report.pairs_ranked,
-        witness=report.witness,
-        vacuous=report.vacuous,
         passed=passed,
         runtime_seconds=time.perf_counter() - t0,
         notes=notes,

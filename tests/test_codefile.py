@@ -460,10 +460,11 @@ def test_roundtrip_at_row_type_edges(tmp_path, q, ambient):
             read_code(path)
 
 
-def damage_members(tmp_path, name, *damage):
-    """Overwrite bytes of a q = 2 file of CHUNK + 100 members; each damage
-    is (member, offset in its line, byte), the member 0-based."""
-    code = tiled(2, CHUNK + 100)
+def damage_members(tmp_path, name, *damage, q=2, s=1):
+    """Overwrite bytes of a file of CHUNK + 100 members of ``tiled(q, ...,
+    s)``; each damage is (member, offset in its line, byte), the member
+    0-based."""
+    code = tiled(q, CHUNK + 100, s)
     path = tmp_path / name
     write_code(code, path)
     data = bytearray(path.read_bytes())
@@ -483,6 +484,22 @@ def damage_members(tmp_path, name, *damage):
 ])
 def test_reader_names_damaged_member_past_first_chunk(tmp_path, offset, byte):
     path = damage_members(tmp_path, f"d{offset}.txt", (CHUNK + 50, offset, byte))
+    with pytest.raises(CodeFileError, match=rf"member {CHUNK + 51} "):
+        read_code(path)
+
+
+@pytest.mark.parametrize("offset, byte", [
+    (3, ord("9")),    # a digit outside GF(9), in row 0's second group
+    (4, ord(",")),    # the separator after row 0
+    (9, ord("|")),    # the newline after the last row
+    (8, 0xFF),        # a non-ASCII byte, in row 1's second group
+])
+def test_reader_names_damaged_two_group_member_past_first_chunk(tmp_path,
+                                                                offset, byte):
+    """At q = 9 and ambient 4 a row is a group of 3 digits and a group of 1,
+    so the byte check's lines are two lookups joined."""
+    path = damage_members(tmp_path, f"d{offset}.txt", (CHUNK + 50, offset, byte),
+                          q=9, s=0)
     with pytest.raises(CodeFileError, match=rf"member {CHUNK + 51} "):
         read_code(path)
 

@@ -42,6 +42,7 @@ from subspace_codes.verify import (
     LCG_INCREMENT,
     LCG_MASK,
     LCG_MULTIPLIER,
+    DistanceReport,
     _lcg_jump,
     _pair_blocks,
     _pairs,
@@ -259,8 +260,8 @@ def test_reconcile_pass():
     report = reconcile(code, expected_size=481, claimed_distance=2)
     assert report.passed
     assert report.stored_size == report.distinct_size == 481
-    assert report.observed_distance == 2
-    assert report.distance_mode == "exhaustive"
+    assert report.distance == 2
+    assert report.mode == "exhaustive"
     assert report.notes == []
     assert report.runtime_seconds >= 0
 
@@ -271,7 +272,7 @@ def test_reconcile_flags_duplicates():
     dup = CDC(base.q, base.ambient, base.k, base.d, codes)
     report = reconcile(dup, expected_size=17, claimed_distance=2)
     assert not report.passed
-    assert report.observed_distance == 0
+    assert report.distance == 0
     assert any("duplicate" in note for note in report.notes)
 
 
@@ -279,7 +280,7 @@ def test_reconcile_flags_size_mismatch():
     code = lifted_code(2, 2, 2, 1)
     report = reconcile(code, expected_size=17, claimed_distance=2)
     assert not report.passed
-    assert report.observed_distance == 2  # distance itself is fine
+    assert report.distance == 2  # distance itself is fine
     assert any("expected 17" in note for note in report.notes)
 
 
@@ -295,7 +296,7 @@ def test_reconcile_sampled_mode_and_unknown_mode():
     code = assemble_parallel(2, 2, 2, 2, 1)
     report = reconcile(code, 481, 2, mode="sampled", samples=300, seed=1)
     assert report.passed
-    assert report.distance_mode == "sampled"
+    assert report.mode == "sampled"
     with pytest.raises(InvalidParameterError):
         reconcile(code, 481, 2, mode="thorough")
 
@@ -331,6 +332,29 @@ def test_report_serializes_to_json():
     assert back["expected_size"] == "481"
     assert back["passed"] is True
     assert back["observed_distance"] == 2
+
+
+@pytest.mark.parametrize("case", ["exhaustive", "sampled", "vacuous"])
+def test_reconcile_passes_the_scan_report_through(case):
+    # the sampled case draws from three rounds, so its top-up is nonzero
+    code = assemble_parallel(2, 2, 2, 2, 1)
+    if case == "vacuous":
+        code = CDC(code.q, code.ambient, code.k, code.d, code.codes[:1])
+    if case == "sampled":
+        scan = min_distance_sampled(code, 300, seed=1)
+        report = reconcile(code, len(code), 2, mode="sampled", samples=300,
+                           seed=1)
+        assert scan.topup_requested > 0 and scan.topup_found > 0
+    else:
+        scan = min_distance_exhaustive(code)
+        report = reconcile(code, len(code), 2)
+    assert scan.vacuous == (case == "vacuous")
+    assert isinstance(report, DistanceReport)
+    assert {name: getattr(report, name) for name in vars(scan)} == vars(scan)
+    assert list(report.to_json_dict()) == [
+        "expected_size", "stored_size", "distinct_size", "claimed_distance",
+        "observed_distance", "distance_mode", "pairs_checked", "pairs_ranked",
+        "witness", "vacuous", "passed", "runtime_seconds", "notes"]
 
 
 def scalar_exhaustive(code):
