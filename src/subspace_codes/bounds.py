@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .counting import _factor_prime_power, gaussian_binomial, truncated_rank_sum
+from .counting import _check_q, gaussian_binomial, truncated_rank_sum
 from .errors import InternalConsistencyError, InvalidParameterError
 
 REFERENCE_DATA = "data/reference_bounds.txt"
@@ -38,7 +38,9 @@ class CdcParams:
     n       width of the rank-code matrices behind a construction, or None
     s       number of extra parallel rounds behind a construction, or None
 
-    For constructed codes ambient == (s + 1) * k + n.
+    For constructed codes ambient == (s + 1) * k + n.  Every instance is
+    checked on construction: inconsistent parameters raise
+    InvalidParameterError, so an unchecked CdcParams cannot exist.
     """
 
     q: int
@@ -48,10 +50,8 @@ class CdcParams:
     n: int | None = None
     s: int | None = None
 
-    def validate(self) -> "CdcParams":
-        if not isinstance(self.q, int) or _factor_prime_power(self.q) is None:
-            raise InvalidParameterError(
-                f"field order must be a prime power >= 2, got {self.q!r}")
+    def __post_init__(self):
+        _check_q(self.q)
         check_distance(self.d)
         if not self.d // 2 <= self.k <= self.ambient:
             raise InvalidParameterError(
@@ -70,7 +70,6 @@ class CdcParams:
                 raise InvalidParameterError(
                     f"ambient {self.ambient} != (s+1)*k + n = "
                     f"{(self.s + 1) * self.k + self.n}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,9 @@ def parallel_lower_bound(q: int, n: int, k: int, d: int, s: int) -> BoundResult:
     minimum rank distance d/2.  With s = 0 this is the plain two-block
     construction.
     """
-    params = CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s).validate()
-    value = sum(term for term in block_cardinalities(q, n, k, d, s))
-    return BoundResult(params, value, "parallel")
+    params = CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s)
+    return BoundResult(params, sum(block_cardinalities(q, n, k, d, s)),
+                       "parallel")
 
 
 def two_block_lower_bound(q: int, n: int, k: int, d: int) -> BoundResult:
@@ -121,7 +120,7 @@ def block_cardinalities(q: int, n: int, k: int, d: int, s: int) -> list:
     Returns s + 2 positive counts; their sum is the parallel lower bound.
     The list order matches the member order of assemble_parallel.
     """
-    CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s).validate()
+    CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s)
     delta = d // 2
     r_k = _residual_count(q, k, k, d)
     r_n = _residual_count(q, n, k, d)
@@ -137,7 +136,7 @@ def johnson_anticode_upper(q: int, n: int, k: int, d: int) -> BoundResult:
     A_q(n, d, k) <= floor of bracket(n, k - d/2 + 1) / bracket(k, k - d/2 + 1)
     with bracket the Gaussian binomial at base q.
     """
-    params = CdcParams(q, n, d, k).validate()
+    params = CdcParams(q, n, d, k)
     delta = d // 2
     num = gaussian_binomial(n, k - delta + 1, q)
     den = gaussian_binomial(k, k - delta + 1, q)
@@ -153,7 +152,7 @@ def johnson_iterated_upper(q: int, n: int, d: int, k: int,
     seeded with floor((q^n' - 1) / (q^(d/2) - 1)) for n' = n - k + d/2.  A
     different seed (a better known bound at that end point) can be supplied.
     """
-    params = CdcParams(q, n, d, k).validate()
+    params = CdcParams(q, n, d, k)
     delta = d // 2
     ni, ki = n - (k - delta), delta
     value = (q ** ni - 1) // (q ** delta - 1) if base is None else base

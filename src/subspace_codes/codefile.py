@@ -14,9 +14,11 @@ File layout, all ASCII:
     ...
 
 The first line is the magic plus format version.  Header lines are
-``key=value``; ``construction`` is optional and records how the code was
-assembled, so the predicted size and the round sizes can be recovered.
-Lines starting with ``#`` before the ``--`` separator are comments.
+``key=value``: each integer key of ``_KEYS`` once, and an optional
+``construction`` that reads exactly ``parallel n=<digits> s=<digits>``
+and records how the code was assembled, so the predicted size and the
+round sizes can be recovered.  Any other key or construction form is
+refused.  Lines starting with ``#`` before the ``--`` are comments.
 After the separator come exactly ``members`` lines of
 k * (ambient + 1) bytes: k groups of ``ambient`` base-q digit characters
 joined by ``|`` and ended by ``\n``, row 0 first, column 0 as the leftmost
@@ -39,6 +41,7 @@ violation during verification rather than being repaired here.
 from __future__ import annotations
 
 import os
+import re
 import stat
 from functools import lru_cache
 
@@ -52,6 +55,10 @@ from .fields import (CHUNK, SUPPORTED_Q, _decode, _digit_table, _groups,
 
 MAGIC = "subspace-code"
 VERSION = 1
+# the required header keys, in the order the writer writes them, and the
+# one form of the optional construction line
+_KEYS = ("q", "ambient", "k", "d", "members")
+_CONSTRUCTION = re.compile("parallel n=([0-9]+) s=([0-9]+)")
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +87,8 @@ def write_code(code: CDC, path) -> None:
     before the path is opened.
     """
     q, ambient, k = code.q, code.ambient, code.k
-    header = [f"{MAGIC} v{VERSION}", f"q={q}", f"ambient={ambient}",
-              f"k={k}", f"d={code.d}", f"members={len(code)}"]
+    values = (q, ambient, k, code.d, len(code))
+    header = [f"{MAGIC} v{VERSION}", *map("{}={}".format, _KEYS, values)]
     p = code.params
     if p is not None and p.n is not None:
         header.append(f"construction=parallel n={p.n} s={p.s}")
@@ -98,35 +105,16 @@ def write_code(code: CDC, path) -> None:
             fh.write(_lines(code.codes[lo:lo + CHUNK], q, ambient))
 
 
-def _parse_construction(raw: str, q: int, ambient: int, d: int, k: int):
-    parts = raw.split()
-    if not parts or parts[0] != "parallel":
-        raise CodeFileError(f"unknown construction {raw!r}")
-    fields = {}
-    for p in parts[1:]:
-        key, _, val = p.partition("=")
-        if key in fields:
-            raise CodeFileError(f"repeated construction field {key!r}")
-        try:
-            fields[key] = int(val)
-        except ValueError:
-            raise CodeFileError(f"bad construction field {p!r}") from None
-    if set(fields) != {"n", "s"}:
-        raise CodeFileError(f"construction needs n and s, got {raw!r}")
-    try:
-        return CdcParams(q, ambient, d, k, n=fields["n"], s=fields["s"]).validate()
-    except InvalidParameterError as exc:
-        raise CodeFileError(f"inconsistent construction header: {exc}") from None
-
-
 def read_code(path) -> CDC:
     """Parse a code file into the CDC it stores.
 
     Structural problems (a path that is not a regular file, bad magic,
-    missing keys, an unsupported field order, a header (q, ambient, d, k)
-    that CdcParams rejects, rows wider than the uint64 row limit, a body
-    size other than the declared member count of lines, bad digits or
-    separators, rows not in canonical form) raise CodeFileError.
+    a missing, repeated or unknown key, an unsupported field order, a
+    header (q, ambient, d, k) that CdcParams rejects, a construction value
+    other than the writer's form or one that disagrees with the header,
+    rows wider than the uint64 row limit, a body size other than the
+    declared member count of lines, bad digits or separators, rows not in
+    canonical form) raise CodeFileError.
     Mathematical problems (duplicates, wrong distance) are the verifier's
     business and pass through silently here.  The body is decoded CHUNK
     lines at a time.  Each block gets one byte check: ``offset`` is
@@ -162,6 +150,8 @@ def read_code(path) -> CDC:
             key, eq, val = line.partition("=")
             if not eq:
                 raise CodeFileError(f"expected key=value, got {line!r}")
+            if key not in _KEYS and key != "construction":
+                raise CodeFileError(f"unknown header key {key!r}")
             if key in header:
                 raise CodeFileError(f"duplicate header key {key!r}")
             header[key] = val
@@ -169,8 +159,7 @@ def read_code(path) -> CDC:
             raise CodeFileError("missing -- separator")
 
         try:
-            q, ambient, k, d, members = (
-                int(header[key]) for key in ("q", "ambient", "k", "d", "members"))
+            q, ambient, k, d, members = (int(header[key]) for key in _KEYS)
         except KeyError as exc:
             raise CodeFileError(f"missing header key {exc.args[0]!r}") from None
         except ValueError:
@@ -181,7 +170,7 @@ def read_code(path) -> CDC:
         if members < 0:
             raise CodeFileError(f"implausible header: members={members}")
         try:
-            CdcParams(q, ambient, d, k).validate()
+            CdcParams(q, ambient, d, k)
             # an empty code checks the row width before the body is read
             CDC(q, ambient, k, d, ())
         except InvalidParameterError as exc:
@@ -189,8 +178,17 @@ def read_code(path) -> CDC:
 
         construction = None
         if "construction" in header:
-            construction = _parse_construction(header["construction"], q,
-                                               ambient, d, k)
+            raw = header["construction"]
+            match = _CONSTRUCTION.fullmatch(raw)
+            if match is None:
+                raise CodeFileError(f"construction {raw!r} does not read "
+                                    "'parallel n=<digits> s=<digits>'")
+            try:
+                construction = CdcParams(q, ambient, d, k, n=int(match[1]),
+                                         s=int(match[2]))
+            except InvalidParameterError as exc:
+                raise CodeFileError(
+                    f"inconsistent construction header: {exc}") from None
 
         line_len = k * (ambient + 1)
         body = info.st_size - fh.tell()

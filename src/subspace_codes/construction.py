@@ -217,7 +217,7 @@ def assemble_parallel(q: int, n: int, k: int, d: int, s: int,
     Member order is deterministic: rounds in order, and within a round the
     cartesian product of the slot codeword lists, leftmost slot slowest.
     """
-    params = CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s).validate()
+    params = CdcParams(q, (s + 1) * k + n, d, k, n=n, s=s)
     ambient = params.ambient
     delta = d // 2
 

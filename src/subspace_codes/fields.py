@@ -237,9 +237,10 @@ def linearized_eval(coeffs, x: int, q: int, field: Field) -> int:
     ``field`` must be an extension of GF(q), i.e. its order a power of q.
     """
     t = q
-    while t < field.q:
+    # a q below 2 stops the loop at once: its powers never reach field.q
+    while 1 < t < field.q:
         t *= q
-    if t != field.q or q < 2:
+    if t != field.q:
         raise IncompatibleFieldError(
             f"order of {field!r} is not a power of q={q}")
     x = check_element(field, x, "evaluation point")
@@ -326,7 +327,8 @@ def mat_rank(a: MatrixGF) -> int:
 
 
 def mat_rref(a: MatrixGF) -> MatrixGF:
-    """Reduced row echelon form with zero rows dropped.
+    """Reduced row echelon form with zero rows dropped; a zero matrix gives
+    one zero row.
 
     The result is the canonical generator of the row space: two matrices
     have equal row spaces exactly when their rrefs are equal.

@@ -1,5 +1,6 @@
 """Lower and upper bounds, and the shipped reference table."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -116,23 +117,35 @@ def test_lower_bounds_below_anticode_upper():
 
 def test_params_validation():
     with pytest.raises(InvalidParameterError):
-        CdcParams(2, 6, 3, 2).validate()  # odd distance
+        CdcParams(2, 6, 3, 2)  # odd distance
     with pytest.raises(InvalidParameterError):
-        CdcParams(2, 6, 2, 7).validate()  # k > ambient
+        CdcParams(2, 6, 2, 7)  # k > ambient
     with pytest.raises(InvalidParameterError):
-        CdcParams(1, 6, 2, 2).validate()
+        CdcParams(1, 6, 2, 2)
     with pytest.raises(InvalidParameterError):
-        CdcParams(2, 6, 2, 2, n=2).validate()  # n without s
+        CdcParams(2, 6, 2, 2, n=2)  # n without s
     with pytest.raises(InvalidParameterError):
-        CdcParams(2, 6, 2, 2, n=2, s=-1).validate()
+        CdcParams(2, 6, 2, 2, n=2, s=-1)
     with pytest.raises(InvalidParameterError):
-        CdcParams(2, 7, 2, 2, n=2, s=1).validate()  # ambient mismatch
+        CdcParams(2, 7, 2, 2, n=2, s=1)  # ambient mismatch
     with pytest.raises(InvalidParameterError):
-        CdcParams(2, 8, 4, 2, n=4, s=1).validate()  # k < d in a construction
+        CdcParams(2, 8, 4, 2, n=4, s=1)  # k < d in a construction
     with pytest.raises(InvalidParameterError):
         parallel_lower_bound(2, 2, 3, 2, 1)  # n < k
-    ok = CdcParams(2, 6, 2, 2, n=2, s=1).validate()
+    ok = CdcParams(2, 6, 2, 2, n=2, s=1)
     assert ok.ambient == 6
+
+
+def test_params_are_checked_on_construction():
+    # no method call is needed: an inconsistent instance cannot exist,
+    # whether built directly or as a modified copy of a valid one
+    with pytest.raises(InvalidParameterError, match="ambient 7"):
+        CdcParams(2, 7, 2, 2, n=2, s=1)
+    ok = CdcParams(2, 6, 2, 2, n=2, s=1)
+    with pytest.raises(InvalidParameterError, match="ambient 7"):
+        dataclasses.replace(ok, ambient=7)
+    with pytest.raises(InvalidParameterError, match="prime power"):
+        CdcParams(6, 6, 2, 2)
 
 
 def test_load_reference_rows():

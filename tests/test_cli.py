@@ -197,6 +197,28 @@ def test_verify_without_a_construction_line_expects_the_stored_size(
     assert "expected size     481\nstored size       481\n" in out
 
 
+def test_verify_refuses_a_misspelled_construction_key(capsys, tmp_path):
+    # one member deleted: the construction line's predicted 481 fails the
+    # 480 stored members, and a typo in its key must not turn that into a
+    # PASS against the stored size
+    out_path = tmp_path / "code.txt"
+    run(capsys, "construct", "--q", "2", "--n", "2", "--k", "2",
+        "--d", "2", "--s", "1", "--out", str(out_path))
+    lines = out_path.read_text().splitlines()
+    lines[lines.index("members=481")] = "members=480"
+    del lines[-1]
+    out_path.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run(capsys, "verify", "--in", str(out_path), "--d", "2")
+    assert rc == 1 and "result FAIL" in out
+
+    at = lines.index("construction=parallel n=2 s=1")
+    lines[at] = "constructon=parallel n=2 s=1"
+    out_path.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, "verify", "--in", str(out_path), "--d", "2")
+    assert rc == 2 and "result PASS" not in out
+    assert "unknown header key 'constructon'" in err
+
+
 def test_verify_overclaimed_distance_fails(capsys, tmp_path):
     out_path = tmp_path / "code.txt"
     run(capsys, "construct", "--q", "2", "--n", "2", "--k", "2",

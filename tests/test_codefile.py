@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import threading
 
 import numpy as np
@@ -152,10 +153,14 @@ def test_reader_rejects_header_damage(tmp_path):
     def construction(raw):
         return lambda ls: ls.__setitem__(6, f"construction={raw}")
 
+    def malformed(raw):
+        return re.escape(f"construction {raw!r} does not read "
+                         "'parallel n=<digits> s=<digits>'")
+
     worded = [
-        (construction("lifted n=2 s=0"), "unknown construction"),
-        (construction("parallel n=two s=0"), "bad construction field 'n=two'"),
-        (construction("parallel n=2"), "construction needs n and s"),
+        (construction("lifted n=2 s=0"), malformed("lifted n=2 s=0")),
+        (construction("parallel n=two s=0"), malformed("parallel n=two s=0")),
+        (construction("parallel n=2"), malformed("parallel n=2")),
         (lambda ls: ls.__delitem__(slice(ls.index("--"), None)),
          "missing -- separator"),
         (lambda ls: ls.__setitem__(5, "members=-1"),
@@ -165,6 +170,29 @@ def test_reader_rejects_header_damage(tmp_path):
         path = corrupt(tmp_path, mutate, name=f"w{idx}.txt")
         with pytest.raises(CodeFileError, match=message):
             read_code(path)
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda ls: ls.__setitem__(6, "constructon=parallel n=2 s=0"), "constructon"),
+    (lambda ls: ls.insert(6, "foo=1"), "foo"),
+], ids=["misspelled", "extra"])
+def test_reader_refuses_unknown_header_keys(tmp_path, mutate, key):
+    # a key the writer never writes is refused, not ignored
+    with pytest.raises(CodeFileError, match=f"unknown header key '{key}'"):
+        read_code(corrupt(tmp_path, mutate))
+
+
+@pytest.mark.parametrize("raw", [
+    "parallel s=0 n=2",      # the writer's fields, reordered
+    "parallel n=2 s=0 ",     # a trailing space
+    " parallel n=2 s=0",
+    "parallel  n=2 s=0",
+    "parallel n=+2 s=0",
+])
+def test_reader_accepts_only_the_writers_construction_form(tmp_path, raw):
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(6, f"construction={raw}"))
+    with pytest.raises(CodeFileError, match=re.escape(f"construction {raw!r}")):
+        read_code(path)
 
 
 def test_reader_refuses_a_fifo(tmp_path):

@@ -287,6 +287,13 @@ def test_linearized_eval():
         linearized_eval([0, 1], 1, 4, extension_field(2, 3).ext)  # 8 not a power of 4
 
 
+@pytest.mark.parametrize("q", [0, 1])
+def test_linearized_eval_refuses_a_base_order_below_two(q):
+    # powers of such a q never reach the field's order
+    with pytest.raises(IncompatibleFieldError):
+        linearized_eval([1], 1, q, field_of(4))
+
+
 # ------------------------------------------------------------------ matrices
 
 
